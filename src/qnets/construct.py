@@ -24,8 +24,18 @@ from typing import Callable, Mapping
 
 from .errors import ConstructionError, GeneralPositionError, GeometryError
 from .invariants import is_bs_koenigs
-from .lifts import RETRY_BUDGET, sample_supplementary, supplementary_pair
-from .projective import HPoint, INFINITY, Subspace, central_projection, join, meet
+from .lifts import RETRY_BUDGET, sample_supplementary, staircase_point
+from .projective import (
+    HPoint,
+    INFINITY,
+    Subspace,
+    central_projection,
+    join,
+    line_meet,
+    meet,
+    span_dim,
+    supplementary,
+)
 from .qnet import (
     GridDomain,
     QNet,
@@ -104,7 +114,7 @@ def _fill_ok(points: Mapping[Site, HPoint], domain: GridDomain, site: Site, cand
                     continue
                 if all(s == site or s in points for s in triple):
                     pts = [cand if s == site else points[s] for s in triple]
-                    if join(pts).projective_dim != 2:
+                    if span_dim(pts) != 2:
                         return False
     return True
 
@@ -260,7 +270,7 @@ def random_goursat_net(a: int, b: int, n: int, seed: int) -> QNet:
 
 
 def _point_on(line: Subspace, rng: random.Random) -> HPoint:
-    g1, g2 = line.basis
+    _, (g1, g2) = line.scaled_basis
     while True:
         al, be = rng.randint(-9, 9), rng.randint(-9, 9)
         coords = [al * x + be * y for x, y in zip(g1, g2)]
@@ -293,26 +303,13 @@ class _LiftContext:
         rng = random.Random(_LIFT_SEED)
         staircase = {(i, dom.j_min) for i in range(dom.i_min, dom.i_max + 1)}
         staircase |= {(dom.i_min, j) for j in range(dom.j_min, dom.j_max + 1)}
-        chosen: list[list[Fraction]] = []
-        from .linalg import rank
-
+        chosen: list = []
         for site in sorted(boundary.points, key=lambda s: (s[1], s[0])):
             if self.center.is_empty:
                 self.up[site] = embedded[site]
                 continue
             if site in staircase:
-                base = embedded[site].coords
-                for _ in range(RETRY_BUDGET):
-                    vec = list(base)
-                    for crow in self.center.basis:
-                        lam = Fraction(rng.randint(-9, 9))
-                        vec = [x + lam * y for x, y in zip(vec, crow)]
-                    if rank(chosen + [vec], self.big + 1) == len(chosen) + 1:
-                        self.up[site] = HPoint(vec)
-                        chosen.append(list(self.up[site].coords))
-                        break
-                else:
-                    raise GeneralPositionError("no spanning lift choice at %s" % (site,))
+                self.up[site] = staircase_point(site, embedded[site], self.center, chosen, rng)
             else:
                 self.up[site] = self._forced_lift(site, embedded[site])
 
@@ -383,20 +380,11 @@ def _bs_line(ctx: _LiftContext, i: int, j: int) -> Subspace:
 
 
 def _line_point(line: Subspace, t) -> HPoint:
-    g1, g2 = line.basis
+    _, (g1, g2) = line.scaled_basis
     if t is INFINITY:
         return HPoint(g2)
-    return HPoint([a + Fraction(t) * b for a, b in zip(g1, g2)])
-
-
-def _up_forward_point(ctx: _LiftContext, i: int, j: int) -> HPoint:
-    """Forward transform point of the lifted face (i,j)."""
-    l1 = join([ctx.up[(i, j)], ctx.up[(i, j + 1)]])
-    l2 = join([ctx.up[(i + 1, j)], ctx.up[(i + 1, j + 1)]])
-    pt = meet(l1, l2)
-    if pt.projective_dim != 0:
-        raise ConstructionError("transform point of face %s undefined" % ((i, j),), (i, j))
-    return pt.point()
+    t = Fraction(t)
+    return HPoint([t.denominator * a + t.numerator * b for a, b in zip(g1, g2)])
 
 
 def _require_sites(boundary: PartialNet, keep: Callable[[Site], bool], what: str) -> None:
@@ -414,14 +402,14 @@ def validate_boundary(boundary: PartialNet) -> None:
     for face in dom.faces():
         corners = ((face[0], face[1]), (face[0] + 1, face[1]), (face[0], face[1] + 1), (face[0] + 1, face[1] + 1))
         present = [s for s in corners if s in pts]
-        if len(present) == 4 and join([pts[s] for s in corners]).projective_dim > 2:
+        if len(present) == 4 and span_dim([pts[s] for s in corners]) > 2:
             raise ConstructionError("boundary face %s is not planar" % (face,), face)
         for s, t in combinations(present, 2):
             if abs(s[0] - t[0]) + abs(s[1] - t[1]) == 1 and pts[s] == pts[t]:
                 raise ConstructionError("boundary edge %s-%s collapses" % (s, t), s)
         if len(present) >= 3:
             for triple in combinations(present, 3):
-                if join([pts[s] for s in triple]).projective_dim != 2:
+                if span_dim([pts[s] for s in triple]) != 2:
                     raise ConstructionError(
                         "boundary triple %s is collinear" % (triple,), triple[0]
                     )
@@ -498,13 +486,18 @@ def random_bs_strips(a: int, b: int, n: int, seed: int) -> PartialNet:
 
 
 def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
-    """Seeded random BS-Koenigs net (random strips + Koenigs extension)."""
+    """Seeded random BS-Koenigs net (random strips + Koenigs extension).
+
+    Every attempt draws fresh strips.  The first eight extend them with the
+    caller's seed, so a degenerate choice on the admissible lines can repeat
+    in all of them; the eight after that also draw a fresh extension seed.
+    """
     from .qnet import diagonal_intersection_net
 
-    for attempt in range(8):
+    for attempt in range(16):
         try:
             strips = random_bs_strips(a, b, n, _derive(seed, attempt))
-            net = extend_bs_koenigs(strips, seed=seed)
+            net = extend_bs_koenigs(strips, seed=seed if attempt < 8 else _derive(seed, attempt))
         except (ConstructionError, GeneralPositionError):
             continue
         if not _first_transforms_generic(net):
@@ -650,20 +643,19 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     return net
 
 
-def _down_transform_point(pts: Mapping[Site, HPoint], face: Site, direction: str) -> HPoint:
+def _transform_point(pts: Mapping[Site, HPoint], face: Site, direction: str) -> HPoint:
+    """Laplace transform point of one face of partial data."""
     i, j = face
     if direction == "forward":
-        l1 = join([pts[(i, j)], pts[(i, j + 1)]])
-        l2 = join([pts[(i + 1, j)], pts[(i + 1, j + 1)]])
+        a, b, c, d = pts[(i, j)], pts[(i, j + 1)], pts[(i + 1, j)], pts[(i + 1, j + 1)]
     else:
-        l1 = join([pts[(i, j)], pts[(i + 1, j)]])
-        l2 = join([pts[(i, j + 1)], pts[(i + 1, j + 1)]])
-    if l1.projective_dim != 1 or l2.projective_dim != 1:
+        a, b, c, d = pts[(i, j)], pts[(i + 1, j)], pts[(i, j + 1)], pts[(i + 1, j + 1)]
+    if a == b or c == d:
         raise ConstructionError("degenerate edge line on face %s" % (face,), face)
-    pt = meet(l1, l2)
-    if pt.projective_dim != 0:
+    pt = line_meet(a, b, c, d)
+    if pt is None:
         raise ConstructionError("transform point of face %s undefined" % (face,), face)
-    return pt.point()
+    return pt
 
 
 def _double_degenerate_m1(boundary: PartialNet) -> QNet:
@@ -677,16 +669,13 @@ def _double_degenerate_m1(boundary: PartialNet) -> QNet:
     pts = dict(boundary.points)
     for j in range(dom.j_min + 2, dom.j_max + 1):
         for i in range(dom.i_min + 2, dom.i_max + 1):
-            z_fwd = _down_transform_point(pts, (i - 2, j - 1), "forward")
-            z_bwd = _down_transform_point(pts, (i - 1, j - 2), "backward")
-            l1 = join([pts[(i, j - 1)], z_fwd])
-            l2 = join([pts[(i - 1, j)], z_bwd])
-            if l1.projective_dim != 1 or l2.projective_dim != 1:
+            z_fwd = _transform_point(pts, (i - 2, j - 1), "forward")
+            z_bwd = _transform_point(pts, (i - 1, j - 2), "backward")
+            if pts[(i, j - 1)] == z_fwd or pts[(i - 1, j)] == z_bwd:
                 raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
-            hit = meet(l1, l2)
-            if hit.projective_dim != 0:
+            cand = line_meet(pts[(i, j - 1)], z_fwd, pts[(i - 1, j)], z_bwd)
+            if cand is None:
                 raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
-            cand = hit.point()
             if not _fill_ok(pts, dom, (i, j), cand):
                 raise ConstructionError("completion at %s is degenerate" % ((i, j),), (i, j))
             pts[(i, j)] = cand
@@ -724,7 +713,7 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
     validate_boundary(boundary)
     ctx = _LiftContext(boundary)
     for i in range(2, a + 1):
-        z = _up_forward_point(ctx, i - 2, 0)
+        z = _transform_point(ctx.up, (i - 2, 0), "forward")
         line = join([ctx.up[(i, 0)], z])
         if line.projective_dim != 1:
             raise ConstructionError("degenerate constancy line at %s" % ((i, 1),), (i, 1))
@@ -741,7 +730,7 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
             raise GeneralPositionError("no admissible row-1 choice at %s" % ((i, 1),))
     for j in range(2, b + 1):
         for i in range(2, a + 1):
-            z = _up_forward_point(ctx, i - 2, j - 1)
+            z = _transform_point(ctx.up, (i - 2, j - 1), "forward")
             cline = join([ctx.up[(i, j - 1)], z])
             if cline.projective_dim != 1:
                 raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
@@ -792,12 +781,9 @@ def _double_m1_boundary(a: int, b: int, n: int, seed: int) -> PartialNet:
             _fill_sites(pts, dom, [(i, 0) for i in range(a + 1)], rng, n)
             z0 = _rand_point(rng, n)
             _fill_on_lines(pts, dom, [((i, 1), (i, 0)) for i in range(a + 1)], z0, rng)
-            w_space = meet(
-                join([pts[(0, 0)], pts[(1, 0)]]), join([pts[(0, 1)], pts[(1, 1)]])
-            )
-            if w_space.projective_dim != 0:
+            w0 = line_meet(pts[(0, 0)], pts[(1, 0)], pts[(0, 1)], pts[(1, 1)])
+            if w0 is None:
                 continue
-            w0 = w_space.point()
             _fill_sites(pts, dom, [(0, j) for j in range(2, b + 1)], rng, n)
             _fill_on_lines(pts, dom, [((1, j), (0, j)) for j in range(2, b + 1)], w0, rng)
         except GeneralPositionError:
@@ -865,7 +851,7 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
         if center.contains_point(lifted[s]):
             raise ConstructionError("net point falls into the projection center")
     screen = sample_supplementary(center, rng.randrange(2**30))
-    if not supplementary_pair(center, screen):
+    if not supplementary(center, screen):
         raise ConstructionError("projection screen is not supplementary")
     pts = {}
     for s in lifted.domain.sites():

@@ -28,7 +28,7 @@ from .errors import (
     GeometryError,
     NotBSKoenigsError,
 )
-from .linalg import rank
+from .linalg import bareiss, nullspace
 from .projective import (
     HPoint,
     Quadric,
@@ -37,6 +37,7 @@ from .projective import (
     join,
     meet,
     singular_locus,
+    supplementary,
 )
 from .qnet import (
     QNet,
@@ -80,8 +81,25 @@ def _staircase(domain) -> list[Site]:
     return sites
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9))
+def staircase_point(
+    site: Site, base: HPoint, center: Subspace, chosen: list, rng: random.Random
+) -> HPoint:
+    """A free lift choice: ``base`` plus a seeded random combination of the
+    center's basis rows, redrawn until it extends the span of the points
+    chosen so far.  The accepted point's coordinates are appended to
+    ``chosen``."""
+    scale, steps = center.scaled_basis
+    ncols = len(base.coords)
+    for _ in range(RETRY_BUDGET):
+        vec = [scale * x for x in base.coords]
+        for step in steps:
+            lam = rng.randint(-9, 9)
+            vec = [a + lam * b for a, b in zip(vec, step)]
+        if len(bareiss(chosen + [vec], ncols)[0]) == len(chosen) + 1:
+            point = HPoint(vec)
+            chosen.append(point.coords)
+            return point
+    raise GeneralPositionError("no spanning lift choice at %s" % (site,))
 
 
 def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
@@ -104,26 +122,14 @@ def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
         return LiftResult(net, center, screen, seed)
     if center.ambient_dim != m:
         raise DimensionMismatchError("center has wrong ambient dimension")
-    if len(center.basis) + len(screen.basis) != m + 1 or not join([center, screen]).is_full:
+    if not supplementary(center, screen):
         raise GeometryError("center is not supplementary to the net's span")
 
     rng = random.Random(seed)
-    ncols = m + 1
     lifted: dict[Site, HPoint] = {}
-    chosen_rows: list = []
+    chosen: list = []
     for site in _staircase(d):
-        base = net[site].coords
-        for _ in range(RETRY_BUDGET):
-            vec = list(base)
-            for crow in center.basis:
-                lam = _random_fraction(rng)
-                vec = [a + lam * b for a, b in zip(vec, crow)]
-            if rank(chosen_rows + [vec], ncols) == len(chosen_rows) + 1:
-                lifted[site] = HPoint(vec)
-                chosen_rows.append(list(lifted[site].coords))
-                break
-        else:
-            raise GeneralPositionError("no spanning lift choice at %s" % (site,))
+        lifted[site] = staircase_point(site, net[site], center, chosen, rng)
 
     for j in range(d.j_min + 1, d.j_max + 1):
         for i in range(d.i_min + 1, d.i_max + 1):
@@ -152,20 +158,16 @@ def embed_net(net: QNet, ambient_dim: int) -> QNet:
 def sample_supplementary(span: Subspace, seed: int) -> Subspace:
     """Seeded random rational subspace supplementary to the given one."""
     m = span.ambient_dim
-    codim = m + 1 - len(span.basis)
+    codim = m + 1 - len(span.rows)
     if codim == 0:
         return Subspace.empty(m)
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
-        rows = [[Fraction(rng.randint(-9, 9)) for _ in range(m + 1)] for _ in range(codim)]
+        rows = [[rng.randint(-9, 9) for _ in range(m + 1)] for _ in range(codim)]
         cand = Subspace.from_rows(rows, m)
-        if len(cand.basis) == codim and supplementary_pair(cand, span):
+        if len(cand.rows) == codim and supplementary(cand, span):
             return cand
     raise GeneralPositionError("could not sample a supplementary subspace")
-
-
-def supplementary_pair(a: Subspace, b: Subspace) -> bool:
-    return len(a.basis) + len(b.basis) == a.ambient_dim + 1 and join([a, b]).is_full
 
 
 def embed_and_lift(net: QNet, seed: int) -> LiftResult:
@@ -236,10 +238,7 @@ def hyperplane_pair_quadric(u1: Subspace, u2: Subspace) -> Quadric:
 
 
 def _normal(hyperplane: Subspace) -> tuple[Fraction, ...]:
-    from .linalg import nullspace
-
-    rows = nullspace(hyperplane.basis, hyperplane.ambient_dim + 1)
-    return rows[0]
+    return nullspace(hyperplane.rows, hyperplane.ambient_dim + 1)[0]
 
 
 def quadric_conjugacy_check(net: QNet, quadric: Quadric) -> bool:

@@ -10,6 +10,8 @@ where points[di][dj] holds the homogeneous coordinates of site
 (i0+di, j0+dj), each coordinate an exact rational string "p/q" (or "p"),
 an integer, or a decimal string that is rationalized exactly.  A null
 entry marks a missing point (boundary data for the construct command).
+Dimensions and ranges must be JSON integers; coordinate strings are
+bounded in length and exponent before they are parsed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ from .projective import HPoint, Subspace, central_projection, join
 from .qnet import GridDomain, QNet
 
 
+# Bounds on coordinate strings: the cost of Fraction parsing grows with the
+# number of digits and exponentially with the decimal exponent
+# ("1e999999999" builds a billion-digit integer), so both are capped first.
+MAX_SCALAR_CHARS = 4096
+MAX_EXPONENT = 4096
+
+
 def parse_scalar(value: Union[str, int, float]) -> Fraction:
     try:
         if isinstance(value, bool):
@@ -36,7 +45,15 @@ def parse_scalar(value: Union[str, int, float]) -> Fraction:
         if isinstance(value, float):
             return Fraction(repr(value))
         if isinstance(value, str):
-            return Fraction(value.strip())
+            text = value.strip()
+            if len(text) > MAX_SCALAR_CHARS:
+                raise NetFileError(
+                    "coordinate string of %d characters exceeds %d" % (len(text), MAX_SCALAR_CHARS)
+                )
+            _, marker, exponent = text.lower().partition("e")
+            if marker and abs(int(exponent)) > MAX_EXPONENT:
+                raise NetFileError("coordinate %r has an exponent beyond %d" % (text, MAX_EXPONENT))
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise NetFileError("cannot parse coordinate %r" % (value,)) from exc
     raise NetFileError("cannot parse coordinate %r" % (value,))
@@ -73,18 +90,40 @@ def net_to_dict(net: Union[QNet, PartialNet]) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NetFileError(
+            "malformed net document: %s must be an integer, got %r" % (what, value)
+        )
+    return value
+
+
+def _int_pair(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise NetFileError(
+            "malformed net document: %s must be a pair of integers, got %r" % (what, value)
+        )
+    return _integer(value[0], what), _integer(value[1], what)
+
+
 def net_from_dict(doc: dict) -> Union[QNet, PartialNet]:
+    """Parse a net document; every malformed input raises NetFileError."""
     try:
-        n = int(doc["ambient_dim"])
-        i0, i1 = (int(x) for x in doc["i_range"])
-        j0, j1 = (int(x) for x in doc["j_range"])
+        raw_n, raw_i, raw_j = doc["ambient_dim"], doc["i_range"], doc["j_range"]
         rows = doc["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise NetFileError("malformed net document: %s" % exc) from exc
+    n = _integer(raw_n, "ambient_dim")
+    if n < 0:
+        raise NetFileError("malformed net document: ambient_dim must be non-negative, got %d" % n)
+    i0, i1 = _int_pair(raw_i, "i_range")
+    j0, j1 = _int_pair(raw_j, "j_range")
     try:
         domain = GridDomain(i0, i1, j0, j1)
     except ValueError as exc:
         raise NetFileError(str(exc)) from exc
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise NetFileError("malformed net document: points must be a list of lists")
     if len(rows) != i1 - i0 + 1 or any(len(r) != j1 - j0 + 1 for r in rows):
         raise NetFileError("points array shape does not match the ranges")
     points = {}
@@ -92,6 +131,11 @@ def net_from_dict(doc: dict) -> Union[QNet, PartialNet]:
         for dj, entry in enumerate(row):
             if entry is None:
                 continue
+            if not isinstance(entry, list):
+                raise NetFileError(
+                    "point at (%d,%d) must be a list of coordinates or null, got %r"
+                    % (i0 + di, j0 + dj, entry)
+                )
             if len(entry) != n + 1:
                 raise NetFileError(
                     "point at (%d,%d) has %d coordinates, expected %d"
@@ -117,7 +161,7 @@ def read_net(path: str) -> Union[QNet, PartialNet]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise NetFileError("cannot read %s: %s" % (path, exc)) from exc
     return net_from_dict(doc)
 

@@ -1,9 +1,10 @@
 """Exact projective geometry over the rationals.
 
-Points of RP^n are nonzero homogeneous rational vectors up to scale,
-subspaces are row spaces in canonical reduced row echelon form, quadrics
-are symmetric bilinear forms up to scale.  Every operation is exact; all
-degeneracy predicates are decidable equalities.
+Points of RP^n are nonzero homogeneous vectors up to scale, stored as
+primitive integer tuples; subspaces are row spaces stored as their
+canonical integer echelon rows; quadrics are symmetric bilinear forms up to
+scale.  Every operation is exact; all degeneracy predicates are decidable
+equalities.
 
 Conventions:
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -27,7 +30,18 @@ from .errors import (
     ProjectionUndefinedError,
     UndefinedCrossRatioError,
 )
-from .linalg import Matrix, Row, as_row, dot, mat_vec, nullspace, primitive, rref
+from .linalg import (
+    IntRow,
+    Matrix,
+    as_row,
+    bareiss,
+    dot,
+    echelon,
+    mat_vec,
+    nullspace,
+    primitive,
+    unit_rows,
+)
 
 Scalar = Fraction
 
@@ -58,16 +72,16 @@ RatioValue = Union[Fraction, _Infinity]
 class HPoint:
     """A point of RP^n as a homogeneous coordinate vector.
 
-    The stored representative is canonical: integer entries with content 1
-    and positive first nonzero entry, so projective equality is plain
-    tuple equality.
+    The stored representative is canonical: a tuple of ``int`` with content
+    1 and positive first nonzero entry, so projective equality is plain
+    tuple equality.  Any nonzero rational representative is accepted.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable):
-        vec = as_row(coords)
-        if all(c == 0 for c in vec):
+        vec = coords if isinstance(coords, (tuple, list)) else tuple(coords)
+        if not any(vec):
             raise ValueError("a projective point needs a nonzero coordinate")
         object.__setattr__(self, "coords", primitive(vec))
 
@@ -98,20 +112,23 @@ class HPoint:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A projective subspace as the canonical RREF basis of its linear span.
+    """A projective subspace as the canonical echelon rows of its linear span.
 
-    Zero basis rows encode the empty subspace (projective dimension -1);
-    equality of subspaces is bitwise equality of bases.
+    ``rows`` are the rows of the reduced row echelon form, each scaled to
+    primitive integers with positive pivot (see ``linalg.echelon``), and
+    ``pivots`` their pivot columns.  Zero rows encode the empty subspace
+    (projective dimension -1); equality of subspaces is equality of rows.
+    ``basis`` is the same form over Q with unit pivots.
     """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[IntRow, ...]
     pivots: tuple[int, ...]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ambient_dim: int) -> "Subspace":
-        red, piv = rref([as_row(r) for r in rows], ambient_dim + 1)
-        return cls(ambient_dim, red, piv)
+        ints = [primitive(r) for r in rows if any(x != 0 for x in r)]
+        return cls(ambient_dim, *echelon(ints, ambient_dim + 1))
 
     @classmethod
     def from_points(cls, points: Sequence[HPoint]) -> "Subspace":
@@ -120,7 +137,7 @@ class Subspace:
         n = points[0].ambient_dim
         if any(p.ambient_dim != n for p in points):
             raise DimensionMismatchError("points in different ambient spaces")
-        return cls.from_rows([p.coords for p in points], n)
+        return cls(n, *echelon([p.coords for p in points], n + 1))
 
     @classmethod
     def from_point(cls, point: HPoint) -> "Subspace":
@@ -132,51 +149,73 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(ambient_dim + 1)] for i in range(ambient_dim + 1)],
-            ambient_dim,
+        size = ambient_dim + 1
+        rows = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+        return cls(ambient_dim, rows, tuple(range(size)))
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The reduced row echelon basis over Q (unit pivots)."""
+        return unit_rows(self.rows, self.pivots)
+
+    @cached_property
+    def scaled_basis(self) -> tuple[int, tuple[IntRow, ...]]:
+        """``basis`` times the lcm of its denominators, with that factor:
+        integer rows whose integer combinations give the same points as the
+        same combinations of ``basis``."""
+        scale = lcm(*(row[c] for row, c in zip(self.rows, self.pivots)))
+        return scale, tuple(
+            tuple(scale // row[c] * x for x in row) for row, c in zip(self.rows, self.pivots)
         )
 
     @property
     def projective_dim(self) -> int:
-        return len(self.basis) - 1
+        return len(self.rows) - 1
 
     @property
     def is_empty(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     @property
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim + 1
+        return len(self.rows) == self.ambient_dim + 1
 
-    def _reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for row, c in zip(self.basis, self.pivots):
+    def _residual(self, vec: Sequence[int]) -> tuple[Sequence[int], int]:
+        """Fraction-free reduction of an integer vector by the echelon rows:
+        returns (m * vec - w, m) with w in the subspace and m > 0, the
+        residual being zero exactly when vec lies in the subspace."""
+        v, m = vec, 1
+        for row, c in zip(self.rows, self.pivots):
             f = v[c]
             if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+                p = row[c]
+                v = [p * a - f * b for a, b in zip(v, row)]
+                m *= p
+        return v, m
+
+    def _reduces_to_zero(self, vec: Sequence[int]) -> bool:
+        return not any(self._residual(vec)[0])
 
     def contains_point(self, p: HPoint) -> bool:
         if p.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("point and subspace dimensions differ")
-        return all(x == 0 for x in self._reduce(p.coords))
+        return self._reduces_to_zero(p.coords)
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("subspace dimensions differ")
-        return all(all(x == 0 for x in self._reduce(row)) for row in other.basis)
+        return all(self._reduces_to_zero(row) for row in other.rows)
 
     def point(self) -> HPoint:
         """The unique point of a 0-dimensional subspace."""
         if self.projective_dim != 0:
             raise GeometryError("subspace is not a single point")
-        return HPoint(self.basis[0])
+        return HPoint(self.rows[0])
 
     def basis_points(self) -> list[HPoint]:
-        return [HPoint(row) for row in self.basis]
+        return [HPoint(row) for row in self.rows]
 
-    def point_coords(self, p: HPoint) -> Row:
+    def point_coords(self, p: HPoint) -> IntRow:
         """Coordinates of a contained point in this basis (pivot chart)."""
         if not self.contains_point(p):
             raise GeometryError("point is not in the subspace")
@@ -186,28 +225,24 @@ class Subspace:
 SubspaceLike = Union[Subspace, HPoint]
 
 
-def _as_subspace(obj: SubspaceLike) -> Subspace:
-    if isinstance(obj, HPoint):
-        return Subspace.from_point(obj)
-    return obj
-
-
 def join(items: Sequence[SubspaceLike], ambient_dim: int | None = None) -> Subspace:
     """Join (projectivized span) of subspaces and/or points."""
-    parts = [_as_subspace(x) for x in items]
-    if not parts:
+    if not items:
         if ambient_dim is None:
             raise ValueError("empty join needs an explicit ambient dimension")
         return Subspace.empty(ambient_dim)
-    n = parts[0].ambient_dim
-    if any(p.ambient_dim != n for p in parts):
+    n = items[0].ambient_dim
+    if any(p.ambient_dim != n for p in items):
         raise DimensionMismatchError("join of subspaces in different ambient spaces")
     if ambient_dim is not None and ambient_dim != n:
         raise DimensionMismatchError("ambient dimension does not match arguments")
-    rows: list[Row] = []
-    for p in parts:
-        rows.extend(p.basis)
-    return Subspace.from_rows(rows, n)
+    rows: list[IntRow] = []
+    for p in items:
+        if isinstance(p, HPoint):
+            rows.append(p.coords)
+        else:
+            rows.extend(p.rows)
+    return Subspace(n, *echelon(rows, n + 1))
 
 
 def span(*points: HPoint) -> Subspace:
@@ -217,14 +252,54 @@ def span(*points: HPoint) -> Subspace:
 def meet(a: Subspace, b: Subspace) -> Subspace:
     """Intersection of two subspaces, possibly empty.
 
-    Computed through annihilators: V cap W = (V^perp + W^perp)^perp.
+    Each row b_k of the smaller one is reduced by the echelon rows of the
+    larger one to a residual m_k b_k - w_k.  A combination of the residuals
+    vanishes exactly when the same combination of the m_k b_k lies in both
+    subspaces, so eliminating the residual half of the rows
+    [m_k b_k - w_k | m_k b_k] leaves a basis of the intersection in the
+    other half of the rows whose residual half vanished.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("meet of subspaces in different ambient spaces")
+    if len(b.rows) > len(a.rows):
+        a, b = b, a
     ncols = a.ambient_dim + 1
-    ann = list(nullspace(a.basis, ncols)) + list(nullspace(b.basis, ncols))
-    red, piv = rref(nullspace(ann, ncols), ncols)
-    return Subspace(a.ambient_dim, red, piv)
+    work = []
+    for row in b.rows:
+        residual, m = a._residual(row)
+        work.append(list(residual) + [m * x for x in row])
+    rank = len(bareiss(work, ncols)[0])
+    return Subspace(a.ambient_dim, *echelon([row[ncols:] for row in work[rank:]], ncols))
+
+
+def line_meet(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> HPoint | None:
+    """The point where the line ab meets the line cd, or None when the four
+    points do not span a plane (skew or coincident lines).
+
+    Grassmann-Cayley: meet(ab, cd) = [a b d] c - [a b c] d, the brackets
+    taken as 3x3 determinants in the pivot chart of the plane.  The two
+    pairs must be distinct points.
+    """
+    ncols = len(a.coords)
+    pivots = bareiss([a.coords, b.coords, c.coords, d.coords], ncols)[0]
+    if len(pivots) != 3:
+        return None
+    i, j, k = pivots
+    ai, aj, ak = a.coords[i], a.coords[j], a.coords[k]
+    bi, bj, bk = b.coords[i], b.coords[j], b.coords[k]
+    ni, nj, nk = aj * bk - ak * bj, ak * bi - ai * bk, ai * bj - aj * bi
+    abc = ni * c.coords[i] + nj * c.coords[j] + nk * c.coords[k]
+    abd = ni * d.coords[i] + nj * d.coords[j] + nk * d.coords[k]
+    x = [abd * y - abc * z for y, z in zip(c.coords, d.coords)]
+    if not any(x):
+        return None
+    return HPoint(x)
+
+
+def span_dim(points: Sequence[HPoint]) -> int:
+    """Projective dimension of the join of points, from their Bareiss rank
+    (cheaper than join when no canonical basis is needed)."""
+    return len(bareiss([p.coords for p in points], len(points[0].coords))[0]) - 1
 
 
 def supplementary(a: Subspace, b: Subspace) -> bool:
@@ -232,24 +307,24 @@ def supplementary(a: Subspace, b: Subspace) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("subspaces in different ambient spaces")
     full = a.ambient_dim + 1
-    if len(a.basis) + len(b.basis) != full:
+    if len(a.rows) + len(b.rows) != full:
         return False
-    return len(join([a, b]).basis) == full
+    return len(bareiss(list(a.rows + b.rows), full)[0]) == full
 
 
-def _chart(points: Sequence[HPoint], expect: int) -> list[tuple[Fraction, ...]]:
+def _chart(points: Sequence[HPoint], expect: int) -> list[tuple[int, int]]:
     """Common 2-coordinate chart of collinear points (pivot coordinates of
     the canonical line basis)."""
-    line = join(points)
-    if line.projective_dim > 1:
+    pivots = bareiss([p.coords for p in points], len(points[0].coords))[0]
+    if len(pivots) > 2:
         raise GeometryError("points are not collinear")
-    if line.projective_dim < 1:
+    if len(pivots) < 2:
         raise UndefinedCrossRatioError("all %d points coincide" % expect)
-    c1, c2 = line.pivots
+    c1, c2 = pivots
     return [(p.coords[c1], p.coords[c2]) for p in points]
 
 
-def _det2(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
+def _det2(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
@@ -265,7 +340,7 @@ def cross_ratio(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> RatioValue:
         if num == 0:
             raise UndefinedCrossRatioError("cross-ratio of the form 0/0")
         return INFINITY
-    return num / den
+    return Fraction(num, den)
 
 
 def multi_ratio(
@@ -280,7 +355,7 @@ def multi_ratio(
         if num == 0:
             raise UndefinedCrossRatioError("multi-ratio of the form 0/0")
         return INFINITY
-    return num / den
+    return Fraction(num, den)
 
 
 def central_projection(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:
@@ -365,7 +440,7 @@ def polar(q: Quadric, p: HPoint) -> Subspace:
     n = q.ambient_dim
     if all(x == 0 for x in w):
         return Subspace.full(n)
-    return Subspace(n, *_null_pair([w], n + 1))
+    return Subspace.from_rows(nullspace([w], n + 1), n)
 
 
 def is_conjugate(q: Quadric, p1: HPoint, p2: HPoint) -> bool:
@@ -376,11 +451,7 @@ def is_conjugate(q: Quadric, p1: HPoint, p2: HPoint) -> bool:
 def singular_locus(q: Quadric) -> Subspace:
     """Projectivized kernel of the form matrix (empty iff non-degenerate)."""
     n = q.ambient_dim
-    return Subspace(n, *_null_pair(q.form, n + 1))
-
-
-def _null_pair(rows, ncols) -> tuple[Matrix, tuple[int, ...]]:
-    return rref(nullspace(rows, ncols), ncols)
+    return Subspace.from_rows(nullspace(q.form, n + 1), n)
 
 
 def transform_point(matrix: Sequence[Sequence], p: HPoint) -> HPoint:

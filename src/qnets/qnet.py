@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import DimensionMismatchError, DegenerateIntersectionError, GeometryError
-from .projective import HPoint, Subspace, join, meet, transform_point
+from .projective import HPoint, Subspace, join, line_meet, meet, span_dim, transform_point
 
 Direction = Literal["forward", "backward"]
 Site = tuple[int, int]
@@ -173,7 +173,7 @@ def validate_qnet(net: QNet) -> list[Site]:
     bad = []
     for face in net.domain.faces():
         pts = [net[s] for s in face_sites(face)]
-        if join(pts).projective_dim > 2:
+        if span_dim(pts) > 2:
             bad.append(face)
     return bad
 
@@ -196,7 +196,7 @@ def check_nondegenerate(net: QNet) -> list[tuple]:
         corners = face_sites(face)
         for skip in range(4):
             triple = tuple(s for k, s in enumerate(corners) if k != skip)
-            if join([net[s] for s in triple]).projective_dim != 2:
+            if span_dim([net[s] for s in triple]) != 2:
                 violations.append(("triple", face, triple))
     return violations
 
@@ -210,7 +210,7 @@ def check_extensive(net: QNet) -> bool:
     target = net.domain.width_i + net.domain.width_j
     if net.ambient_dim < target:
         return False
-    return net_span(net).projective_dim == target
+    return span_dim([net[s] for s in net.domain.sites()]) == target
 
 
 def check_extensive_sub(net: QNet, c: int, d: int) -> bool:
@@ -223,38 +223,36 @@ def check_extensive_sub(net: QNet, c: int, d: int) -> bool:
     for i in range(dom.i_min, dom.i_max - c + 1):
         for j in range(dom.j_min, dom.j_max - d + 1):
             sub = net.restricted(dom.sub(i, i + c, j, j + d))
-            if net_span(sub).projective_dim != c + d:
+            if span_dim([sub[s] for s in sub.domain.sites()]) != c + d:
                 return False
     return True
 
 
-def _edge_line(net: QNet, s: Site, t: Site) -> Subspace:
-    line = join([net[s], net[t]])
-    if line.projective_dim != 1:
+def _check_edge(net: QNet, s: Site, t: Site) -> None:
+    if net[s] == net[t]:
         raise GeometryError("edge %s-%s degenerates to a point" % (s, t))
-    return line
 
 
 def _face_transform_point(net: QNet, face: Site, direction: Direction) -> HPoint:
     i, j = face
+    if direction == "forward":
+        e1, e2 = ((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))
+    else:
+        e1, e2 = ((i, j), (i + 1, j)), ((i, j + 1), (i + 1, j + 1))
     try:
-        if direction == "forward":
-            l1 = _edge_line(net, (i, j), (i, j + 1))
-            l2 = _edge_line(net, (i + 1, j), (i + 1, j + 1))
-        else:
-            l1 = _edge_line(net, (i, j), (i + 1, j))
-            l2 = _edge_line(net, (i, j + 1), (i + 1, j + 1))
+        _check_edge(net, *e1)
+        _check_edge(net, *e2)
     except GeometryError as exc:
         raise GeometryError(
             "Laplace %s transform undefined on face %s: %s" % (direction, face, exc)
         ) from exc
-    pt = meet(l1, l2)
-    if pt.projective_dim != 0:
+    pt = line_meet(net[e1[0]], net[e1[1]], net[e2[0]], net[e2[1]])
+    if pt is None:
         raise GeometryError(
             "Laplace %s transform undefined on face %s: edge lines do not meet in a point"
             % (direction, face)
         )
-    return pt.point()
+    return pt
 
 
 def transform_points(net: QNet, direction: Direction) -> dict[Site, HPoint]:
@@ -421,12 +419,12 @@ def diagonal_intersection_net(net: QNet) -> QNet:
     pts: dict[Site, HPoint] = {}
     for face in d.faces():
         i, j = face
-        d1 = _edge_line(net, (i, j), (i + 1, j + 1))
-        d2 = _edge_line(net, (i + 1, j), (i, j + 1))
-        x = meet(d1, d2)
-        if x.projective_dim != 0:
+        _check_edge(net, (i, j), (i + 1, j + 1))
+        _check_edge(net, (i + 1, j), (i, j + 1))
+        x = line_meet(net[(i, j)], net[(i + 1, j + 1)], net[(i + 1, j)], net[(i, j + 1)])
+        if x is None:
             raise GeometryError("diagonals of face %s do not meet in a point" % (face,))
-        pts[face] = x.point()
+        pts[face] = x
     return QNet(d.shrunk(), net.ambient_dim, pts)
 
 

@@ -61,6 +61,13 @@ class TestExtendBSKoenigs:
     def _strips(self, seed):
         return random_bs_strips(2, 2, 3, seed)
 
+    def test_retries_draw_fresh_extension_seeds(self):
+        # With the caller's seed as extension seed, all of the first eight
+        # attempts at this seed give a forward transform with a collapsed
+        # edge; the later attempts vary the extension seed and succeed.
+        net = random_bs_koenigs(4, 4, 3, 1798700128)
+        assert is_bs_koenigs(net) and not check_nondegenerate(laplace_iterate(net, 1))
+
     def test_admissible_locus_is_a_line_through_the_diagonal_neighbour(self):
         strips = self._strips(0)
         n1 = extend_bs_koenigs(strips, choices={(2, 2): F(0)})

@@ -79,6 +79,65 @@ class TestNetFiles:
         assert any(",K," in line for line in lines[1:])
 
 
+def _grid_doc(**changes):
+    doc = net_to_dict(affine_grid(1, 1))
+    doc.update(changes)
+    return doc
+
+
+def _with_point(entry):
+    doc = _grid_doc()
+    doc["points"][0][0] = entry
+    return doc
+
+
+def _with_row(row):
+    doc = _grid_doc()
+    doc["points"][0] = row
+    return doc
+
+
+HOSTILE_DOCUMENTS = {
+    "string entry": _with_point("123"),
+    "number entry": _with_point(5),
+    "number row": _with_row(5),
+    "row of numbers": _with_row([7, 7]),
+    "fractional ambient_dim": _grid_doc(ambient_dim=1.5),
+    "boolean ambient_dim": _grid_doc(ambient_dim=True),
+    "string range": _grid_doc(i_range=["0", "1"]),
+    "short range": _grid_doc(j_range=[0]),
+    "points not a list": _grid_doc(points={"0": []}),
+    "huge exponent": _with_point(["1e999999999", "0", "1"]),
+    "huge exponent with underscores": _with_point(["1e9_999_999", "0", "1"]),
+    "overlong coordinate": _with_point(["1" * 5000, "0", "1"]),
+    "document not an object": [1, 2],
+}
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_DOCUMENTS))
+    def test_rejected_with_net_file_error(self, case):
+        with pytest.raises(NetFileError):
+            net_from_dict(HOSTILE_DOCUMENTS[case])
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_DOCUMENTS))
+    def test_check_command_exits_with_2(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(HOSTILE_DOCUMENTS[case]))
+        assert main(["check", "-i", str(path), "--json"]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "NetFileError"
+
+    def test_bounded_exponent_still_parses(self):
+        assert parse_scalar("25e-2") == F(1, 4)
+        assert parse_scalar("1E3") == 1000
+
+    def test_oversized_json_integer_is_a_net_file_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"ambient_dim": %s}' % ("9" * 5000))
+        with pytest.raises(NetFileError):
+            read_net(str(path))
+
+
 def run(args):
     return main([str(a) for a in args])
 

@@ -24,6 +24,7 @@ from qnets import (
     laplace_forward,
     laplace_iterate,
     parameter_space,
+    random_bs_koenigs,
     random_goursat_net,
     random_qnet,
     validate_qnet,
@@ -289,3 +290,10 @@ class TestDiagonalNet:
             lhs = laplace_forward(transform_net(m, net))
             rhs = transform_net(m, laplace_forward(net))
             assert lhs == rhs
+
+
+class TestTranspositionDuality:
+    def test_backward_transform_is_the_transposed_forward_transform(self):
+        nets = [random_qnet(3, 3, 3, s) for s in range(4)] + [random_bs_koenigs(3, 3, 3, 0)]
+        for net in nets:
+            assert laplace_forward(net).transposed() == laplace_backward(net.transposed())
