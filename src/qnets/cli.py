@@ -160,6 +160,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seeds < 1:
+        raise _CliError("--seeds must be at least 1, got %d" % args.seeds)
     results = run_suites(args.suite, args.seeds)
     doc = []
     failed = False
@@ -286,10 +288,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         _emit_error(exc, use_json)
         return exc.code
-    except QnetsError as exc:
-        _emit_error(exc, use_json)
-        return 2
-    except OSError as exc:
+    except (QnetsError, OSError, ValueError) as exc:
+        # ValueError: the library's own argument checks (window sizes,
+        # dimensions, step counts), a usage error like the others.
         _emit_error(exc, use_json)
         return 2
 

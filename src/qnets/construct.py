@@ -9,9 +9,18 @@ All completions are computed in one extensive lift of the growing net:
 admissible sets for a new corner point of a 3x3 window are generic only
 upstairs (the face plane E meets the opposite-parity 3-space F in a line
 there), and the completion subspaces all live inside the span of the
-window's lifted points, where meets restrict exactly.  Unique completions
-consume no randomness beyond the boundary; the lift's own free choices
-use a fixed internal seed and never influence the projected result.
+window's lifted points, where meets restrict exactly.  The boundary is
+lifted by the same engine as complete nets (``lifts.lift_partial``, which
+takes predecessor-closed partial data) through a center supplementary to
+its span (``sample_supplementary``); each completed point is added
+upstairs and projected back by ``central_projection`` without re-checking
+that pair.  Unique completions consume no randomness beyond the boundary;
+the lift's own free choices use a fixed internal seed and never influence
+the projected result.
+
+Errors of the shared machinery (``GeometryError`` from the lift engine,
+the projection and the face transform points) surface here as
+``ConstructionError``.
 """
 
 from __future__ import annotations
@@ -19,16 +28,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Mapping
 
 from .errors import ConstructionError, GeneralPositionError, GeometryError
 from .invariants import is_bs_koenigs
-from .lifts import RETRY_BUDGET, sample_supplementary, staircase_point
+from .lifts import RETRY_BUDGET, lift_partial, sample_supplementary
 from .projective import (
     HPoint,
     INFINITY,
     Subspace,
+    _project,
     central_projection,
     join,
     line_meet,
@@ -37,12 +46,16 @@ from .projective import (
     supplementary,
 )
 from .qnet import (
+    Direction,
     GridDomain,
     QNet,
     Site,
     TerminationReport,
+    _face_defects,
+    _face_transform_point,
     check_nondegenerate,
-    classify_degeneracy,
+    degenerate_transform,
+    face_sites,
     laplace_iterate,
     validate_qnet,
 )
@@ -101,21 +114,12 @@ def _in_plane_point(rng: random.Random, p1: HPoint, p2: HPoint, p3: HPoint) -> H
 def _fill_ok(points: Mapping[Site, HPoint], domain: GridDomain, site: Site, cand: HPoint) -> bool:
     """Non-degeneracy of every edge and face triple completed by `cand`."""
     i, j = site
-    for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-        if domain.contains(nb) and nb in points and points[nb] == cand:
-            return False
-    for fi in (i - 1, i):
-        for fj in (j - 1, j):
-            if not (domain.contains((fi, fj)) and domain.contains((fi + 1, fj + 1))):
-                continue
-            corners = ((fi, fj), (fi + 1, fj), (fi, fj + 1), (fi + 1, fj + 1))
-            for triple in combinations(corners, 3):
-                if site not in triple:
-                    continue
-                if all(s == site or s in points for s in triple):
-                    pts = [cand if s == site else points[s] for s in triple]
-                    if span_dim(pts) != 2:
-                        return False
+    for face in ((i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)):
+        corners = {s: points[s] for s in face_sites(face) if s in points and domain.contains(s)}
+        if corners:
+            corners[site] = cand
+            for _ in _face_defects(corners, face, site):
+                return False
     return True
 
 
@@ -216,10 +220,7 @@ def random_laplace_degenerate_net(a: int, b: int, n: int, seed: int) -> QNet:
         net = QNet(dom, n, pts)
         if check_nondegenerate(net):
             continue
-        fwd = laplace_iterate(net, 1)
-        if isinstance(fwd, TerminationReport):
-            continue
-        if classify_degeneracy(fwd, "forward").kind == "laplace":
+        if degenerate_transform(net, 1, "laplace") is not None:
             return net
     raise GeneralPositionError("could not build a Laplace-degenerate instance")
 
@@ -261,10 +262,7 @@ def random_goursat_net(a: int, b: int, n: int, seed: int) -> QNet:
         net = QNet(dom, n, pts)
         if check_nondegenerate(net):
             continue
-        it = laplace_iterate(net, 1)
-        if isinstance(it, TerminationReport):
-            continue
-        if classify_degeneracy(it, "forward").kind == "goursat":
+        if degenerate_transform(net, 1, "goursat") is not None:
             return net
     raise GeneralPositionError("could not build a Goursat-degenerate instance")
 
@@ -279,60 +277,33 @@ def _point_on(line: Subspace, rng: random.Random) -> HPoint:
 
 
 class _LiftContext:
-    """A growing net kept together with an extensive lift of itself."""
+    """A growing net kept together with an extensive lift of itself: ``down``
+    holds the points in RP^n, ``up`` their lifts in RP^{a+b}."""
 
     def __init__(self, boundary: PartialNet):
         dom = boundary.domain
         self.domain = dom
         self.n = boundary.ambient_dim
-        self.big = dom.width_i + dom.width_j
-        if self.n > self.big:
+        big = dom.width_i + dom.width_j
+        if self.n > big:
             raise ConstructionError(
-                "ambient RP^%d exceeds the maximal joined dimension %d" % (self.n, self.big)
+                "ambient RP^%d exceeds the maximal joined dimension %d" % (self.n, big)
             )
         self.down: dict[Site, HPoint] = dict(boundary.points)
-        pad = (0,) * (self.big - self.n)
+        pad = (0,) * (big - self.n)
         embedded = {s: HPoint(p.coords + pad) for s, p in self.down.items()}
         self.screen = join(list(embedded.values()))
-        self.center = (
-            Subspace.empty(self.big)
-            if self.screen.is_full
-            else sample_supplementary(self.screen, _LIFT_SEED)
-        )
-        self.up: dict[Site, HPoint] = {}
-        rng = random.Random(_LIFT_SEED)
-        staircase = {(i, dom.j_min) for i in range(dom.i_min, dom.i_max + 1)}
-        staircase |= {(dom.i_min, j) for j in range(dom.j_min, dom.j_max + 1)}
-        chosen: list = []
-        for site in sorted(boundary.points, key=lambda s: (s[1], s[0])):
-            if self.center.is_empty:
-                self.up[site] = embedded[site]
-                continue
-            if site in staircase:
-                self.up[site] = staircase_point(site, embedded[site], self.center, chosen, rng)
-            else:
-                self.up[site] = self._forced_lift(site, embedded[site])
-
-    def _forced_lift(self, site: Site, embedded_pt: HPoint) -> HPoint:
-        i, j = site
-        preds = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
-        if any(p not in self.up for p in preds):
-            raise ConstructionError("boundary is not predecessor-closed at %s" % (site,), site)
-        through = join([embedded_pt, self.center])
-        face = join([self.up[p] for p in preds])
-        pt = meet(through, face)
-        if pt.projective_dim != 0:
-            raise ConstructionError("lift meet at %s is not a point" % (site,), site)
-        return pt.point()
+        self.center = sample_supplementary(self.screen, _LIFT_SEED)
+        try:
+            self.up = lift_partial(embedded, dom, self.center, _LIFT_SEED)
+        except GeometryError as exc:
+            raise ConstructionError(str(exc)) from exc
 
     def project(self, up_pt: HPoint) -> HPoint:
-        if self.center.is_empty:
-            coords = up_pt.coords
-        else:
-            img = meet(join([up_pt, self.center]), self.screen)
-            if img.projective_dim != 0:
-                raise ConstructionError("lift point has no projection")
-            coords = img.point().coords
+        try:
+            coords = _project(up_pt, self.center, self.screen).coords
+        except GeometryError as exc:
+            raise ConstructionError("lift point has no projection") from exc
         if any(c != 0 for c in coords[self.n + 1 :]):
             raise ConstructionError("projected point leaves the embedded space")
         return HPoint(coords[: self.n + 1])
@@ -400,19 +371,14 @@ def validate_boundary(boundary: PartialNet) -> None:
     pts = boundary.points
     dom = boundary.domain
     for face in dom.faces():
-        corners = ((face[0], face[1]), (face[0] + 1, face[1]), (face[0], face[1] + 1), (face[0] + 1, face[1] + 1))
-        present = [s for s in corners if s in pts]
-        if len(present) == 4 and span_dim([pts[s] for s in corners]) > 2:
+        corners = [pts[s] for s in face_sites(face) if s in pts]
+        if len(corners) == 4 and span_dim(corners) > 2:
             raise ConstructionError("boundary face %s is not planar" % (face,), face)
-        for s, t in combinations(present, 2):
-            if abs(s[0] - t[0]) + abs(s[1] - t[1]) == 1 and pts[s] == pts[t]:
-                raise ConstructionError("boundary edge %s-%s collapses" % (s, t), s)
-        if len(present) >= 3:
-            for triple in combinations(present, 3):
-                if span_dim([pts[s] for s in triple]) != 2:
-                    raise ConstructionError(
-                        "boundary triple %s is collinear" % (triple,), triple[0]
-                    )
+        for defect in _face_defects(pts, face):
+            if defect[0] == "edge":
+                raise ConstructionError("boundary edge %s-%s collapses" % defect[1:], defect[1])
+            triple = defect[2]
+            raise ConstructionError("boundary triple %s is collinear" % (triple,), triple[0])
     for p in range(dom.i_min, dom.i_max - 1):
         for q in range(dom.j_min, dom.j_max - 1):
             window = [(p + di, q + dj) for dj in range(3) for di in range(3)]
@@ -512,49 +478,32 @@ def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
     raise GeneralPositionError("could not build a random Koenigs net (seed %r)" % seed)
 
 
-def _forward_unique_fill(ctx: _LiftContext, i: int, j: int, m: int) -> None:
-    """Fill (i,j) so the m-fold forward transform of the window ending
-    there repeats its left neighbour: intersect the admissible line with
-    the m-space joined by the window transform point and the new column."""
+def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> None:
+    """Fill a site so that the m-fold forward transform of the window ending
+    there repeats its left neighbour: intersect the admissible line with the
+    m-space joined by the window transform point and the new column.
+
+    Transposed, the m-fold backward transform repeats its lower neighbour
+    (the admissible line is symmetric under transposition)."""
+
+    def at(a: int, b: int) -> Site:
+        return (b, a) if transposed else (a, b)
+
+    i, j = at(*site)
     p, q = i - m - 1, j - m
     up = ctx.up
-    z = join([up[(p, l)] for l in range(q, q + m + 1)])
+    z = join([up[at(p, l)] for l in range(q, q + m + 1)])
     for k in range(p + 1, p + m + 1):
-        z = meet(z, join([up[(k, l)] for l in range(q, q + m + 1)]))
+        z = meet(z, join([up[at(k, l)] for l in range(q, q + m + 1)]))
     if z.projective_dim != 0:
-        raise ConstructionError(
-            "window transform at (%d,%d) is not a point" % (p, q), (i, j)
-        )
-    q_space = join([z] + [Subspace.from_point(up[(i, l)]) for l in range(q, q + m)])
+        raise ConstructionError("window transform at (%d,%d) is not a point" % at(p, q), site)
+    q_space = join([z] + [up[at(i, l)] for l in range(q, q + m)])
     if q_space.projective_dim != m:
-        raise ConstructionError("degenerate constancy space at %s" % ((i, j),), (i, j))
-    line = _bs_line(ctx, i, j)
-    hit = meet(line, q_space)
+        raise ConstructionError("degenerate constancy space at %s" % (site,), site)
+    hit = meet(_bs_line(ctx, *site), q_space)
     if hit.projective_dim != 0:
-        raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
-    ctx.add((i, j), hit.point())
-
-
-def _backward_unique_fill(ctx: _LiftContext, i: int, j: int, m: int) -> None:
-    """Transposed variant: the m-fold backward transform of the window
-    ending at (i,j) repeats its lower neighbour."""
-    p, q = i - m, j - m - 1
-    up = ctx.up
-    z = join([up[(k, q)] for k in range(p, p + m + 1)])
-    for l in range(q + 1, q + m + 1):
-        z = meet(z, join([up[(k, l)] for k in range(p, p + m + 1)]))
-    if z.projective_dim != 0:
-        raise ConstructionError(
-            "window transform at (%d,%d) is not a point" % (p, q), (i, j)
-        )
-    q_space = join([z] + [Subspace.from_point(up[(k, j)]) for k in range(p, p + m)])
-    if q_space.projective_dim != m:
-        raise ConstructionError("degenerate constancy space at %s" % ((i, j),), (i, j))
-    line = _bs_line(ctx, i, j)
-    hit = meet(line, q_space)
-    if hit.projective_dim != 0:
-        raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
-    ctx.add((i, j), hit.point())
+        raise ConstructionError("no unique completion at %s" % (site,), site)
+    ctx.add(site, hit.point())
 
 
 def extend_laplace_degenerate(boundary: PartialNet, m: int) -> QNet:
@@ -579,25 +528,17 @@ def extend_laplace_degenerate(boundary: PartialNet, m: int) -> QNet:
     ctx = _LiftContext(boundary)
     for j in range(dom.j_min + m, dom.j_max + 1):
         for i in range(dom.i_min + m + 1, dom.i_max + 1):
-            _forward_unique_fill(ctx, i, j, m)
+            _unique_fill(ctx, (i, j), m)
     net = ctx.net()
-    _verify_degenerate(net, m, "forward")
+    _verify_degenerate(net, m)
     if not is_bs_koenigs(net):
         raise ConstructionError("completion failed the Koenigs product check")
     return net
 
 
-def _verify_degenerate(net: QNet, m: int, direction: str) -> None:
-    steps = m if direction == "forward" else -m
-    it = laplace_iterate(net, steps)
-    if isinstance(it, TerminationReport):
-        raise ConstructionError(
-            "sequence terminated at step %d before the degenerate transform"
-            % it.steps_completed
-        )
-    kind = classify_degeneracy(it, direction).kind
-    if kind != "laplace":
-        raise ConstructionError("transform %d classifies as %r, not laplace" % (steps, kind))
+def _verify_degenerate(net: QNet, steps: int) -> None:
+    if degenerate_transform(net, steps, "laplace") is None:
+        raise ConstructionError("transform %d is not Laplace degenerate" % steps)
 
 
 def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
@@ -630,32 +571,24 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     ctx = _LiftContext(boundary)
     j0, i0 = dom.j_min, dom.i_min
     for i in range(i0 + m + 1, dom.i_max + 1):
-        _forward_unique_fill(ctx, i, j0 + m, m)
+        _unique_fill(ctx, (i, j0 + m), m)
     for j in range(j0 + m + 1, dom.j_max + 1):
-        _backward_unique_fill(ctx, i0 + m, j, m)
+        _unique_fill(ctx, (i0 + m, j), m, transposed=True)
         for i in range(i0 + m + 1, dom.i_max + 1):
-            _forward_unique_fill(ctx, i, j, m)
+            _unique_fill(ctx, (i, j), m)
     net = ctx.net()
-    _verify_degenerate(net, m, "forward")
-    _verify_degenerate(net, m, "backward")
+    _verify_degenerate(net, m)
+    _verify_degenerate(net, -m)
     if not is_bs_koenigs(net):
         raise ConstructionError("completion failed the Koenigs product check")
     return net
 
 
-def _transform_point(pts: Mapping[Site, HPoint], face: Site, direction: str) -> HPoint:
-    """Laplace transform point of one face of partial data."""
-    i, j = face
-    if direction == "forward":
-        a, b, c, d = pts[(i, j)], pts[(i, j + 1)], pts[(i + 1, j)], pts[(i + 1, j + 1)]
-    else:
-        a, b, c, d = pts[(i, j)], pts[(i + 1, j)], pts[(i, j + 1)], pts[(i + 1, j + 1)]
-    if a == b or c == d:
-        raise ConstructionError("degenerate edge line on face %s" % (face,), face)
-    pt = line_meet(a, b, c, d)
-    if pt is None:
-        raise ConstructionError("transform point of face %s undefined" % (face,), face)
-    return pt
+def _transform_point(pts: Mapping[Site, HPoint], face: Site, direction: Direction) -> HPoint:
+    try:
+        return _face_transform_point(pts, face, direction)
+    except GeometryError as exc:
+        raise ConstructionError(str(exc), face) from exc
 
 
 def _double_degenerate_m1(boundary: PartialNet) -> QNet:
@@ -680,8 +613,8 @@ def _double_degenerate_m1(boundary: PartialNet) -> QNet:
                 raise ConstructionError("completion at %s is degenerate" % ((i, j),), (i, j))
             pts[(i, j)] = cand
     net = QNet(dom, boundary.ambient_dim, pts)
-    _verify_degenerate(net, 1, "forward")
-    _verify_degenerate(net, 1, "backward")
+    _verify_degenerate(net, 1)
+    _verify_degenerate(net, -1)
     if not is_bs_koenigs(net):
         raise ConstructionError("double m=1 net failed the Koenigs product check")
     return net
@@ -739,7 +672,7 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
                 raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
             ctx.add((i, j), hit.point())
     net = ctx.net()
-    _verify_degenerate(net, 1, "forward")
+    _verify_degenerate(net, 1)
     if not is_bs_koenigs(net):
         raise ConstructionError("m=1 net failed the Koenigs product check")
     if min(a, b) >= 2 and isinstance(laplace_iterate(net, -2), TerminationReport):
@@ -860,10 +793,7 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
     net = QNet(lifted.domain, a + m, pts)
     if check_nondegenerate(net):
         raise ConstructionError("projected net is degenerate")
-    it = laplace_iterate(net, m)
-    if isinstance(it, TerminationReport):
-        raise ConstructionError("forward sequence of the projected net terminated early")
-    if classify_degeneracy(it, "forward").kind != "goursat":
+    if degenerate_transform(net, m, "goursat") is None:
         raise ConstructionError("projected transform is not Goursat degenerate")
     if not is_bs_koenigs(net):
         raise ConstructionError("projected net failed the Koenigs product check")

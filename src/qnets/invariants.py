@@ -127,13 +127,26 @@ def hk_shift_check(net: QNet) -> bool:
     return True
 
 
-def _mutation(prev: Fraction, h00: Fraction, h10: Fraction, h01: Fraction, h11: Fraction, site: Site) -> Fraction:
-    for name, value in (("previous layer", prev), ("H", h00), ("H", h10), ("H", h01), ("H", h11)):
+def _mutation(prev: Layer, prev_site: Site, cur: Layer, site: Site, transposed: bool) -> Fraction:
+    """The Y-system mutation at a site: ``prev`` read at ``prev_site``, ``cur``
+    on the unit square at ``site``, with its two axes swapped when
+    ``transposed``."""
+    i, j = site
+    try:
+        values = [prev[prev_site]]
+        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            values.append(cur[(i + dj, j + di) if transposed else (i + di, j + dj)])
+    except KeyError as exc:
+        raise ExistenceError("missing invariant value at %s" % (exc.args[0],)) from exc
+    for k, value in enumerate(values):
         if value == 0:
-            raise RecurrenceSingularError("%s value 0 at %s" % (name, site), site)
-        if value == 1 and name != "previous layer":
+            raise RecurrenceSingularError(
+                "%s value 0 at %s" % ("H" if k else "previous layer", site), site
+            )
+        if value == 1 and k:
             raise RecurrenceSingularError("invariant equals 1 at %s" % (site,), site)
-    return (1 / prev) * ((1 - h10) / (1 - 1 / h00)) * ((1 - h01) / (1 - 1 / h11))
+    before, h00, h10, h01, h11 = values
+    return (1 / before) * ((1 - h10) / (1 - 1 / h00)) * ((1 - h01) / (1 - 1 / h11))
 
 
 def recurrence_step(h_prev: Layer, h_cur: Layer, site: Site) -> Fraction:
@@ -142,57 +155,20 @@ def recurrence_step(h_prev: Layer, h_cur: Layer, site: Site) -> Fraction:
     Singular exactly when a referenced value is 0 or a current-layer value
     is 1 (the algebraic shadow of sequence termination).
     """
-    i, j = site
-    try:
-        prev = h_prev[(i, j)]
-        h00 = h_cur[(i, j)]
-        h10 = h_cur[(i + 1, j)]
-        h01 = h_cur[(i, j + 1)]
-        h11 = h_cur[(i + 1, j + 1)]
-    except KeyError as exc:
-        raise ExistenceError("missing invariant value near %s" % (site,)) from exc
-    return _mutation(prev, h00, h10, h01, h11, site)
+    return _mutation(h_prev, site, h_cur, site, False)
 
 
 def recurrence_step_from_k(k_cur: Layer, h_cur: Layer, site: Site) -> Fraction:
     """H_1(i,j) with the previous layer read off as K(i,j+1)."""
     i, j = site
-    try:
-        prev = k_cur[(i, j + 1)]
-    except KeyError as exc:
-        raise ExistenceError("missing K value at %s" % ((i, j + 1),)) from exc
-    return _mutation(
-        prev,
-        _need(h_cur, (i, j)),
-        _need(h_cur, (i + 1, j)),
-        _need(h_cur, (i, j + 1)),
-        _need(h_cur, (i + 1, j + 1)),
-        site,
-    )
+    return _mutation(k_cur, (i, j + 1), h_cur, site, False)
 
 
 def recurrence_step_backward(k_cur: Layer, h_cur: Layer, site: Site) -> Fraction:
-    """K_-1(i,j), the mirror recurrence with H(i+1,j) as previous layer."""
+    """K_-1(i,j): the same mutation on the transposed lattice, run on the K
+    layer with H(i+1,j) as previous layer."""
     i, j = site
-    try:
-        prev = h_cur[(i + 1, j)]
-    except KeyError as exc:
-        raise ExistenceError("missing H value at %s" % ((i + 1, j),)) from exc
-    return _mutation(
-        prev,
-        _need(k_cur, (i, j)),
-        _need(k_cur, (i, j + 1)),
-        _need(k_cur, (i + 1, j)),
-        _need(k_cur, (i + 1, j + 1)),
-        site,
-    )
-
-
-def _need(layer: Layer, site: Site) -> Fraction:
-    try:
-        return layer[site]
-    except KeyError as exc:
-        raise ExistenceError("missing invariant value at %s" % (site,)) from exc
+    return _mutation(h_cur, (i + 1, j), k_cur, site, True)
 
 
 def bs_koenigs_sites(field_: InvariantField) -> list[Site]:

@@ -4,7 +4,9 @@ A Sigma_{a,b} net joining less than a+b dimensions inside RP^{a+b} can be
 lifted through a central projection to an extensive net with the same
 Laplace invariants: choose preimages freely along a staircase of sites so
 that they span everything, then every other preimage is forced by the
-face planes.
+face planes.  One engine, ``lift_partial``, does this for any data closed
+under predecessors: ``lift`` runs it on a complete net, and the
+boundary-data constructions in ``construct`` run it on their boundary.
 
 An extensive BS-Koenigs net is inscribed in a pair of distinct
 hyperplanes, alternating with the parity of i+j; their union, viewed as
@@ -19,9 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import (
-    ConstructionError,
     DimensionMismatchError,
     ExistenceError,
     GeneralPositionError,
@@ -40,6 +42,7 @@ from .projective import (
     supplementary,
 )
 from .qnet import (
+    GridDomain,
     QNet,
     Site,
     TerminationReport,
@@ -75,12 +78,6 @@ class HyperplanePair:
     quadric: Quadric
 
 
-def _staircase(domain) -> list[Site]:
-    sites = [(i, domain.j_min) for i in range(domain.i_min, domain.i_max + 1)]
-    sites += [(domain.i_min, j) for j in range(domain.j_min + 1, domain.j_max + 1)]
-    return sites
-
-
 def staircase_point(
     site: Site, base: HPoint, center: Subspace, chosen: list, rng: random.Random
 ) -> HPoint:
@@ -102,13 +99,41 @@ def staircase_point(
     raise GeneralPositionError("no spanning lift choice at %s" % (site,))
 
 
-def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
-    """Extensive lift of a net in RP^{a+b} through the given center.
+def lift_partial(
+    points: Mapping[Site, HPoint], domain: GridDomain, center: Subspace, seed: int
+) -> dict[Site, HPoint]:
+    """Lift points given on a predecessor-closed part of the domain through
+    a center supplementary to their span.
 
-    Free choices along the bottom row and left column are drawn by seeded
-    rejection sampling that keeps the chosen points spanning; interior
-    points are the forced meets with the already-lifted face planes.
+    Sites are visited row by row.  The staircase sites (bottom row and left
+    column) are free choices drawn by ``staircase_point`` from one seeded
+    stream; every other site needs its three predecessors and is forced as
+    the meet of the line through its point and the center with their lifted
+    face plane.  An empty center lifts every point to itself.
     """
+    if center.is_empty:
+        return dict(points)
+    rng = random.Random(seed)
+    chosen: list = []
+    lifted: dict[Site, HPoint] = {}
+    for site in sorted(points, key=lambda s: (s[1], s[0])):
+        if domain.contains(site) and (site[0] == domain.i_min or site[1] == domain.j_min):
+            lifted[site] = staircase_point(site, points[site], center, chosen, rng)
+            continue
+        i, j = site
+        preds = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+        if any(p not in lifted for p in preds):
+            raise GeometryError("lift data is not predecessor-closed at %s" % (site,))
+        pt = meet(join([points[site], center]), join([lifted[p] for p in preds]))
+        if pt.projective_dim != 0:
+            raise GeometryError("lift meet at %s is not a single point" % (site,))
+        lifted[site] = pt.point()
+    return lifted
+
+
+def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
+    """Extensive lift of a net in RP^{a+b} through the given center, by
+    ``lift_partial`` on all of its points."""
     d = net.domain
     m = d.width_i + d.width_j
     if net.ambient_dim != m:
@@ -124,23 +149,7 @@ def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
         raise DimensionMismatchError("center has wrong ambient dimension")
     if not supplementary(center, screen):
         raise GeometryError("center is not supplementary to the net's span")
-
-    rng = random.Random(seed)
-    lifted: dict[Site, HPoint] = {}
-    chosen: list = []
-    for site in _staircase(d):
-        lifted[site] = staircase_point(site, net[site], center, chosen, rng)
-
-    for j in range(d.j_min + 1, d.j_max + 1):
-        for i in range(d.i_min + 1, d.i_max + 1):
-            through = join([net[(i, j)], center])
-            face = join([lifted[(i - 1, j - 1)], lifted[(i - 1, j)], lifted[(i, j - 1)]])
-            pt = meet(through, face)
-            if pt.projective_dim != 0:
-                raise GeometryError("lift meet at %s is not a single point" % ((i, j),))
-            lifted[(i, j)] = pt.point()
-
-    out = QNet(d, m, lifted)
+    out = QNet(d, m, lift_partial(net.points(), d, center, seed))
     if not check_extensive(out):
         raise GeneralPositionError("lifted net failed the extensivity check")
     return LiftResult(out, center, screen, seed)

@@ -368,6 +368,12 @@ def central_projection(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:
         raise DimensionMismatchError("projection operands in different ambient spaces")
     if not supplementary(center, screen):
         raise GeometryError("center and screen are not supplementary")
+    return _project(p, center, screen)
+
+
+def _project(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:
+    """``central_projection`` through a center and screen already known to
+    be supplementary, for callers that project many points through them."""
     if center.contains_point(p):
         raise ProjectionUndefinedError("point lies in the projection center")
     image = meet(join([p, center]), screen)

@@ -11,6 +11,7 @@ on sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import DimensionMismatchError, DegenerateIntersectionError, GeometryError
@@ -178,27 +179,43 @@ def validate_qnet(net: QNet) -> list[Site]:
     return bad
 
 
+def _face_defects(
+    points: Mapping[Site, HPoint], face: Site, site: Site | None = None
+) -> Iterator[tuple]:
+    """Non-degeneracy violations among the corners of a face held in ``points``.
+
+    Yields ('edge', s, t) for the coincident ends of a face edge, then
+    ('triple', face, (s, t, u)) for a vertex triple that does not span a
+    plane, both in ``combinations`` order of the corners.  Given a site,
+    only the violations that involve it.
+    """
+    corners = [s for s in face_sites(face) if s in points]
+    for s, t in combinations(corners, 2):
+        adjacent = s[0] == t[0] or s[1] == t[1]
+        if adjacent and (site is None or site in (s, t)) and points[s] == points[t]:
+            yield ("edge", s, t)
+    for triple in combinations(corners, 3):
+        if (site is None or site in triple) and span_dim([points[s] for s in triple]) != 2:
+            yield ("triple", face, triple)
+
+
 def check_nondegenerate(net: QNet) -> list[tuple]:
     """Violations of non-degeneracy.
 
-    Returns ('edge', s, t) for coincident edge endpoints and
-    ('triple', face, (s, t, u)) for a face vertex triple that does not
-    span a plane.
+    Returns ('edge', s, t) for coincident edge endpoints, site by site with
+    the edges to (i+1,j) and (i,j+1), then ('triple', face, (s, t, u)) for a
+    face vertex triple that does not span a plane, face by face with the
+    triples omitting corner 0, 1, 2, 3 of ``face_sites`` in turn.
     """
-    violations: list[tuple] = []
-    d = net.domain
-    for (i, j) in d.sites():
-        if i + 1 <= d.i_max and net[(i, j)] == net[(i + 1, j)]:
-            violations.append(("edge", (i, j), (i + 1, j)))
-        if j + 1 <= d.j_max and net[(i, j)] == net[(i, j + 1)]:
-            violations.append(("edge", (i, j), (i, j + 1)))
-    for face in d.faces():
-        corners = face_sites(face)
-        for skip in range(4):
-            triple = tuple(s for k, s in enumerate(corners) if k != skip)
-            if span_dim([net[s] for s in triple]) != 2:
-                violations.append(("triple", face, triple))
-    return violations
+    edges: list[tuple] = []
+    triples: list[tuple] = []
+    for site in net.domain.sites():
+        # The unit square at a site: its first two edges start there, and it
+        # has triples only when it is a face of the net.
+        found = list(_face_defects(net._points, site))
+        edges += [v for v in found if v[0] == "edge" and v[1] == site]
+        triples += reversed([v for v in found if v[0] == "triple"])
+    return edges + triples
 
 
 def net_span(net: QNet) -> Subspace:
@@ -228,25 +245,28 @@ def check_extensive_sub(net: QNet, c: int, d: int) -> bool:
     return True
 
 
-def _check_edge(net: QNet, s: Site, t: Site) -> None:
-    if net[s] == net[t]:
+def _check_edge(points: Mapping[Site, HPoint], s: Site, t: Site) -> None:
+    if points[s] == points[t]:
         raise GeometryError("edge %s-%s degenerates to a point" % (s, t))
 
 
-def _face_transform_point(net: QNet, face: Site, direction: Direction) -> HPoint:
+def _face_transform_point(
+    points: Mapping[Site, HPoint], face: Site, direction: Direction
+) -> HPoint:
+    """Laplace transform point of one face of a net or of partial data."""
     i, j = face
     if direction == "forward":
         e1, e2 = ((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))
     else:
         e1, e2 = ((i, j), (i + 1, j)), ((i, j + 1), (i + 1, j + 1))
     try:
-        _check_edge(net, *e1)
-        _check_edge(net, *e2)
+        _check_edge(points, *e1)
+        _check_edge(points, *e2)
     except GeometryError as exc:
         raise GeometryError(
             "Laplace %s transform undefined on face %s: %s" % (direction, face, exc)
         ) from exc
-    pt = line_meet(net[e1[0]], net[e1[1]], net[e2[0]], net[e2[1]])
+    pt = line_meet(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
     if pt is None:
         raise GeometryError(
             "Laplace %s transform undefined on face %s: edge lines do not meet in a point"
@@ -355,6 +375,16 @@ def laplace_iterate(net: QNet, m: int) -> QNet | TerminationReport:
                 report = DegeneracyReport("none", direction, witness)
             return TerminationReport(k, steps, direction, report, cur)
     return cur
+
+
+def degenerate_transform(net: QNet, m: int, kind: str) -> QNet | None:
+    """The m-fold transform (forward for m > 0, backward for m < 0) when the
+    sequence reaches it and classify_degeneracy reports ``kind`` for it;
+    None otherwise."""
+    it = laplace_iterate(net, m)
+    if isinstance(it, TerminationReport):
+        return None
+    return it if classify_degeneracy(it, "forward" if m >= 0 else "backward").kind == kind else None
 
 
 def _first_failing_face(net: QNet, direction: Direction) -> tuple[Site, Site] | None:

@@ -20,7 +20,7 @@ from .lifts import embed_and_lift, koenigs_hyperplanes, quadric_conjugacy_check,
 from .qnet import (
     QNet,
     TerminationReport,
-    classify_degeneracy,
+    degenerate_transform,
     diagonal_intersection_net,
     laplace_iterate,
 )
@@ -51,6 +51,29 @@ def _run(result: PropertyResult, label: str, check) -> None:
     except QnetsError as exc:
         result.failed += 1
         result.failures.append("%s: %s" % (label, exc))
+
+
+def _once(make):
+    """``make(seed)`` memoised within one suite run, a QnetsError it raises
+    included, so that an instance checked by several properties is built
+    once and fails each of them with the same label."""
+    built: dict = {}
+
+    def get(s: int):
+        if s not in built:
+            try:
+                built[s] = make(s)
+            except QnetsError as exc:
+                built[s] = exc
+        if isinstance(built[s], QnetsError):
+            raise built[s]
+        return built[s]
+
+    return get
+
+
+def _laplace_m2(s: int) -> QNet:
+    return construct.extend_laplace_degenerate(construct.laplace_degenerate_boundary(2, 3, 4, 3, s), 2)
 
 
 def suite_recurrence(seeds: int) -> list[PropertyResult]:
@@ -89,17 +112,15 @@ def suite_recurrence(seeds: int) -> list[PropertyResult]:
 
 
 def _is_backward_laplace(net: QNet, steps: int) -> bool:
-    it = laplace_iterate(net, -steps)
-    if isinstance(it, TerminationReport):
-        return False
-    return classify_degeneracy(it, "backward").kind == "laplace"
+    return degenerate_transform(net, -steps, "laplace") is not None
 
 
 def suite_termination(seeds: int) -> list[PropertyResult]:
     results = []
+    laplace_m2 = _once(_laplace_m2)
     cases = [
         ("termination/laplace-m1-backward-m2", lambda s: _is_backward_laplace(construct.bs_laplace_degenerate_m1(3, 3, 3, s), 2)),
-        ("termination/laplace-m2-backward-m3", lambda s: _is_backward_laplace(construct.extend_laplace_degenerate(construct.laplace_degenerate_boundary(2, 3, 4, 3, s), 2), 3)),
+        ("termination/laplace-m2-backward-m3", lambda s: _is_backward_laplace(laplace_m2(s), 3)),
         ("termination/laplace-m3-backward-m4", lambda s: _is_backward_laplace(construct.extend_laplace_degenerate(construct.laplace_degenerate_boundary(3, 4, 5, 3, s), 3), 4)),
         ("termination/goursat-m1-backward-m3", lambda s: _is_backward_laplace(construct.bs_goursat_net(1, 3, 4, s), 3)),
         ("termination/goursat-m2-backward-m4", lambda s: _is_backward_laplace(construct.bs_goursat_net(2, 4, 5, s), 4)),
@@ -116,10 +137,7 @@ def suite_termination(seeds: int) -> list[PropertyResult]:
     hits = 0
     for s in range(seeds):
         try:
-            net = construct.extend_laplace_degenerate(
-                construct.laplace_degenerate_boundary(2, 3, 4, 3, s), 2
-            )
-            if not _is_backward_laplace(net, 2):
+            if not _is_backward_laplace(laplace_m2(s), 2):
                 hits += 1
         except QnetsError:
             pass
@@ -129,14 +147,22 @@ def suite_termination(seeds: int) -> list[PropertyResult]:
 
 
 def _double_ok(net: QNet, m: int) -> bool:
-    fwd = laplace_iterate(net, m)
-    bwd = laplace_iterate(net, -m)
-    if isinstance(fwd, TerminationReport) or isinstance(bwd, TerminationReport):
-        return False
     return (
-        classify_degeneracy(fwd, "forward").kind == "laplace"
-        and classify_degeneracy(bwd, "backward").kind == "laplace"
+        degenerate_transform(net, m, "laplace") is not None
+        and degenerate_transform(net, -m, "laplace") is not None
     )
+
+
+def _bottom_rows_agree(net: QNet, d_b: QNet | None) -> bool:
+    """The bottom row of the backward 3-fold transform of P equals that of
+    the backward 2-fold transform of its diagonal net D."""
+    if d_b is None:
+        return False
+    p_b = laplace_iterate(net, -3)
+    if isinstance(p_b, TerminationReport):
+        return False
+    pd = p_b.domain
+    return all(p_b[(i, pd.j_min)] == d_b[(i, pd.j_min)] for i in range(pd.i_min, pd.i_max + 1))
 
 
 def suite_symmetry(seeds: int) -> list[PropertyResult]:
@@ -144,32 +170,19 @@ def suite_symmetry(seeds: int) -> list[PropertyResult]:
     sym1 = PropertyResult("symmetry/invariants-m1")
     coupling = PropertyResult("symmetry/forward-P-backward-D-coupling")
     pointid = PropertyResult("symmetry/backward-point-identity")
+
+    @_once
+    def coupled(s: int) -> tuple[QNet, QNet | None]:
+        """P and the backward 2-fold transform of its diagonal net when that
+        is Laplace degenerate (None otherwise)."""
+        net = _laplace_m2(s)
+        return net, degenerate_transform(diagonal_intersection_net(net), -2, "laplace")
+
     for s in range(seeds):
         _run(sym0, "seed %d" % s, lambda s=s: invariant_symmetry_check(construct.random_bs_koenigs(3, 3, 3, s), 0))
         _run(sym1, "seed %d" % s, lambda s=s: invariant_symmetry_check(construct.random_bs_koenigs(4, 4, 3, s), 1))
-
-        def check_coupling(s=s, want_points=False):
-            net = construct.extend_laplace_degenerate(
-                construct.laplace_degenerate_boundary(2, 3, 4, 3, s), 2
-            )
-            dnet = diagonal_intersection_net(net)
-            d_b = laplace_iterate(dnet, -2)
-            if isinstance(d_b, TerminationReport):
-                return False
-            if classify_degeneracy(d_b, "backward").kind != "laplace":
-                return False
-            if not want_points:
-                return True
-            p_b = laplace_iterate(net, -3)
-            if isinstance(p_b, TerminationReport):
-                return False
-            pd = p_b.domain
-            return all(
-                p_b[(i, pd.j_min)] == d_b[(i, pd.j_min)] for i in range(pd.i_min, pd.i_max + 1)
-            )
-
-        _run(coupling, "seed %d" % s, check_coupling)
-        _run(pointid, "seed %d" % s, lambda s=s: check_coupling(s, want_points=True))
+        _run(coupling, "seed %d" % s, lambda s=s: coupled(s)[1] is not None)
+        _run(pointid, "seed %d" % s, lambda s=s: _bottom_rows_agree(*coupled(s)))
     return [sym0, sym1, coupling, pointid]
 
 

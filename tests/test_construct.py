@@ -34,8 +34,12 @@ from qnets import (
     random_qnet,
     validate_qnet,
 )
+from qnets import construct
 from qnets.construct import validate_boundary
-from qnets.qnet import TerminationReport
+from qnets.projective import transform_point
+from qnets.qnet import TerminationReport, transform_net
+
+from helpers import random_invertible
 
 F = Fraction
 
@@ -250,3 +254,46 @@ class TestTheoremSuiteInterplay:
             assert d_b.domain == dom
             for i in range(dom.i_min, dom.i_max + 1):
                 assert p_b[(i, dom.j_min)] == d_b[(i, dom.j_min)]
+
+
+# The unique completions: (completion, boundary maker, m, window a x b).
+UNIQUE_COMPLETIONS = [
+    (extend_laplace_degenerate, laplace_degenerate_boundary, 2, (3, 4)),
+    (extend_laplace_degenerate, laplace_degenerate_boundary, 3, (4, 5)),
+    (construct_double_degenerate, double_degenerate_boundary, 1, (2, 2)),
+    (construct_double_degenerate, double_degenerate_boundary, 2, (3, 3)),
+    (construct_double_degenerate, double_degenerate_boundary, 3, (4, 4)),
+]
+
+
+def _unique_cases():
+    """(completion, boundary, m) for every unique completion at seeds 0..3,
+    with the boundaries built once under the default lift seed."""
+    return [
+        (complete, make_boundary(m, a, b, 3, seed), m)
+        for complete, make_boundary, m, (a, b) in UNIQUE_COMPLETIONS
+        for seed in range(4)
+    ]
+
+
+class TestUniqueCompletionInvariance:
+    def test_completions_do_not_depend_on_the_lift_seed(self, monkeypatch):
+        cases = _unique_cases()
+        expected = [complete(boundary, m) for complete, boundary, m in cases]
+        for lift_seed in (1, 2, 12345):
+            monkeypatch.setattr(construct, "_LIFT_SEED", lift_seed)
+            assert [complete(boundary, m) for complete, boundary, m in cases] == expected
+
+    def test_completions_are_projectively_natural(self):
+        # Not asserted for extend_bs_koenigs or bs_laplace_degenerate_m1:
+        # their seeded choices are parameters on lines of the lift, which
+        # a projective map of the boundary does not carry along.
+        rng = random.Random(7)
+        for complete, boundary, m in _unique_cases():
+            matrix = random_invertible(rng, boundary.ambient_dim + 1)
+            mapped = PartialNet(
+                boundary.domain,
+                boundary.ambient_dim,
+                {s: transform_point(matrix, p) for s, p in boundary.points.items()},
+            )
+            assert complete(mapped, m) == transform_net(matrix, complete(boundary, m))

@@ -291,3 +291,28 @@ class TestCli:
         run(["generate", "--rows", 3, "--cols", 2, "--dim", 4, "--seed", 11, "-o", a])
         run(["generate", "--rows", 3, "--cols", 2, "--dim", 4, "--seed", 11, "-o", b])
         assert a.read_text() == b.read_text()
+
+
+USAGE_ERRORS = {
+    "generate in RP^1": ["generate", "--rows", 2, "--cols", 2, "--dim", 1, "-o", "{out}"],
+    "generate negative rows": ["generate", "--rows", -1, "--cols", 2, "--dim", 3, "-o", "{out}"],
+    "laplace beyond the window": ["laplace", "--steps", 9, "-i", "{net}", "-o", "{out}"],
+    "construct with m 0": ["construct", "--mode", "laplace", "--m", 0, "-o", "{out}"],
+    "verify negative seeds": ["verify", "--suite", "recurrence", "--seeds", -3],
+    "verify zero seeds": ["verify", "--suite", "recurrence", "--seeds", 0],
+}
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exits_2_with_one_json_object(self, case, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        write_net(str(net), random_qnet(2, 2, 3, 0))
+        args = [str(a).format(net=net, out=tmp_path / "out.json") for a in USAGE_ERRORS[case]]
+        assert main(args + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert set(doc) >= {"error", "message"}
