@@ -24,6 +24,7 @@ from .errors import (
 from .projective import (
     INFINITY,
     HPoint,
+    Projector,
     Quadric,
     Scalar,
     Subspace,

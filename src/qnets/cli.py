@@ -34,10 +34,24 @@ from .qnet import (
 from .verify import run_suites
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
+class UsageError(Exception):
+    """A command line, environment or input the command cannot run with
+    (exit code 2); its JSON error kind is "UsageError"."""
+
+
+class _ArgumentError(UsageError):
+    """An argparse error, with the parser that found it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
         super().__init__(message)
-        self.code = code
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, raising its errors for ``main`` to report."""
+
+    def error(self, message):
+        raise _ArgumentError(self, message)
 
 
 def _default_seed() -> int:
@@ -45,13 +59,13 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _CliError("QNET_SEED must be an integer, got %r" % raw)
+        raise UsageError("QNET_SEED must be an integer, got %r" % raw)
 
 
 def _read_complete(path: str) -> QNet:
     net = read_net(path)
     if not isinstance(net, QNet):
-        raise _CliError("%s holds boundary data, not a complete net" % path)
+        raise UsageError("%s holds boundary data, not a complete net" % path)
     return net
 
 
@@ -161,7 +175,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.seeds < 1:
-        raise _CliError("--seeds must be at least 1, got %d" % args.seeds)
+        raise UsageError("--seeds must be at least 1, got %d" % args.seeds)
     results = run_suites(args.suite, args.seeds)
     doc = []
     failed = False
@@ -199,7 +213,7 @@ def _cmd_export(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qnets", description=__doc__)
+    parser = _Parser(prog="qnets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_json(p):
@@ -280,15 +294,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    raw = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(raw)
+    except _ArgumentError as exc:
+        # argparse accepts any unambiguous prefix of --json.
+        if not any(isinstance(a, str) and len(a) > 2 and "--json".startswith(a) for a in raw):
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        _emit_error(exc, True)
+        return 2
     use_json = getattr(args, "json", False)
     try:
         return args.func(args)
-    except _CliError as exc:
-        _emit_error(exc, use_json)
-        return exc.code
-    except (QnetsError, OSError, ValueError) as exc:
+    except (QnetsError, OSError, UsageError, ValueError) as exc:
         # ValueError: the library's own argument checks (window sizes,
         # dimensions, step counts), a usage error like the others.
         _emit_error(exc, use_json)
@@ -297,7 +316,8 @@ def main(argv=None) -> int:
 
 def _emit_error(exc: Exception, use_json: bool) -> None:
     if use_json:
-        doc = {"error": type(exc).__name__, "message": str(exc)}
+        kind = "UsageError" if isinstance(exc, UsageError) else type(exc).__name__
+        doc = {"error": kind, "message": str(exc)}
         site = getattr(exc, "site", None)
         if site is not None:
             doc["site"] = list(site) if isinstance(site, tuple) else site

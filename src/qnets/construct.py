@@ -12,11 +12,11 @@ there), and the completion subspaces all live inside the span of the
 window's lifted points, where meets restrict exactly.  The boundary is
 lifted by the same engine as complete nets (``lifts.lift_partial``, which
 takes predecessor-closed partial data) through a center supplementary to
-its span (``sample_supplementary``); each completed point is added
-upstairs and projected back by ``central_projection`` without re-checking
-that pair.  Unique completions consume no randomness beyond the boundary;
-the lift's own free choices use a fixed internal seed and never influence
-the projected result.
+its span (``sample_supplementary``).  One ``Projector`` of that center and
+span, built with the lift, forces the lifted points and projects each
+completed point back down.  Unique completions consume no randomness
+beyond the boundary; the lift's own free choices use a fixed internal seed
+and never influence the projected result.
 
 Errors of the shared machinery (``GeometryError`` from the lift engine,
 the projection and the face transform points) surface here as
@@ -36,9 +36,8 @@ from .lifts import RETRY_BUDGET, lift_partial, sample_supplementary
 from .projective import (
     HPoint,
     INFINITY,
+    Projector,
     Subspace,
-    _project,
-    central_projection,
     join,
     line_meet,
     meet,
@@ -294,14 +293,15 @@ class _LiftContext:
         embedded = {s: HPoint(p.coords + pad) for s, p in self.down.items()}
         self.screen = join(list(embedded.values()))
         self.center = sample_supplementary(self.screen, _LIFT_SEED)
+        self.projector = Projector(self.center, self.screen)
         try:
-            self.up = lift_partial(embedded, dom, self.center, _LIFT_SEED)
+            self.up = lift_partial(embedded, dom, self.projector, _LIFT_SEED)
         except GeometryError as exc:
             raise ConstructionError(str(exc)) from exc
 
     def project(self, up_pt: HPoint) -> HPoint:
         try:
-            coords = _project(up_pt, self.center, self.screen).coords
+            coords = self.projector(up_pt).coords
         except GeometryError as exc:
             raise ConstructionError("lift point has no projection") from exc
         if any(c != 0 for c in coords[self.n + 1 :]):
@@ -786,10 +786,8 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
     screen = sample_supplementary(center, rng.randrange(2**30))
     if not supplementary(center, screen):
         raise ConstructionError("projection screen is not supplementary")
-    pts = {}
-    for s in lifted.domain.sites():
-        image = central_projection(lifted[s], center, screen)
-        pts[s] = HPoint(screen.point_coords(image))
+    project = Projector(center, screen)
+    pts = {s: HPoint(screen.point_coords(project(lifted[s]))) for s in lifted.domain.sites()}
     net = QNet(lifted.domain, a + m, pts)
     if check_nondegenerate(net):
         raise ConstructionError("projected net is degenerate")

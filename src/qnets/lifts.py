@@ -4,9 +4,12 @@ A Sigma_{a,b} net joining less than a+b dimensions inside RP^{a+b} can be
 lifted through a central projection to an extensive net with the same
 Laplace invariants: choose preimages freely along a staircase of sites so
 that they span everything, then every other preimage is forced by the
-face planes.  One engine, ``lift_partial``, does this for any data closed
-under predecessors: ``lift`` runs it on a complete net, and the
-boundary-data constructions in ``construct`` run it on their boundary.
+face planes: it is the point of its lifted predecessor plane that the
+projection maps to the site's point.  One engine, ``lift_partial``, does
+this for any data closed under predecessors, given the ``Projector`` of the
+center and the screen the data lies in: ``lift`` runs it on a complete net,
+and the boundary-data constructions in ``construct`` run it on their
+boundary.
 
 An extensive BS-Koenigs net is inscribed in a pair of distinct
 hyperplanes, alternating with the parity of i+j; their union, viewed as
@@ -21,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import (
@@ -33,9 +37,9 @@ from .errors import (
 from .linalg import bareiss, nullspace
 from .projective import (
     HPoint,
+    Projector,
     Quadric,
     Subspace,
-    central_projection,
     join,
     meet,
     singular_locus,
@@ -63,10 +67,14 @@ class LiftResult:
     screen: Subspace
     seed: int
 
+    @cached_property
+    def _projector(self) -> Projector:
+        return Projector(self.center, self.screen)
+
     def project_point(self, p: HPoint) -> HPoint:
         if self.center.is_empty:
             return p
-        return central_projection(p, self.center, self.screen)
+        return self._projector(p)
 
 
 @dataclass(frozen=True)
@@ -100,22 +108,24 @@ def staircase_point(
 
 
 def lift_partial(
-    points: Mapping[Site, HPoint], domain: GridDomain, center: Subspace, seed: int
+    points: Mapping[Site, HPoint], domain: GridDomain, projector: Projector, seed: int
 ) -> dict[Site, HPoint]:
-    """Lift points given on a predecessor-closed part of the domain through
-    a center supplementary to their span.
+    """Lift points given on a predecessor-closed part of the domain, all on
+    the projector's screen, through its center.
 
     Sites are visited row by row.  The staircase sites (bottom row and left
     column) are free choices drawn by ``staircase_point`` from one seeded
-    stream; every other site needs its three predecessors and is forced as
-    the meet of the line through its point and the center with their lifted
-    face plane.  An empty center lifts every point to itself.
+    stream; every other site needs its three predecessors and is forced by
+    ``_forced_point`` into their lifted face plane.  An empty center lifts
+    every point to itself.
     """
+    center = projector.center
     if center.is_empty:
         return dict(points)
     rng = random.Random(seed)
     chosen: list = []
     lifted: dict[Site, HPoint] = {}
+    images: dict[Site, list[int]] = {}
     for site in sorted(points, key=lambda s: (s[1], s[0])):
         if domain.contains(site) and (site[0] == domain.i_min or site[1] == domain.j_min):
             lifted[site] = staircase_point(site, points[site], center, chosen, rng)
@@ -124,11 +134,45 @@ def lift_partial(
         preds = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
         if any(p not in lifted for p in preds):
             raise GeometryError("lift data is not predecessor-closed at %s" % (site,))
-        pt = meet(join([points[site], center]), join([lifted[p] for p in preds]))
+        for p in preds:
+            if p not in images:
+                images[p] = projector.apply(lifted[p].coords)
+        lifted[site] = _forced_point(
+            site, points[site], [lifted[p] for p in preds], [images[p] for p in preds], center
+        )
+    return lifted
+
+
+def _forced_point(
+    site: Site, point: HPoint, plane: list[HPoint], images: list[list[int]], center: Subspace
+) -> HPoint:
+    """The point x = sum l_k u_k of the plane of u_0, u_1, u_2 whose image
+    sum l_k w_k (w_k the images of the u_k) is proportional to ``point``.
+
+    When the images span a plane, the l_k are 3x3 brackets of the images
+    and ``point`` in a pivot chart of that plane (Cramer's rule), and there
+    is no such x unless ``point`` lies in the plane.  Otherwise the lifted
+    plane meets the center, and x is the meet of the line through ``point``
+    and the center with the lifted plane.
+    """
+    pivots = bareiss(list(images), len(point.coords))[0]
+    if len(pivots) != 3:
+        pt = meet(join([point, center]), join(plane))
         if pt.projective_dim != 0:
             raise GeometryError("lift meet at %s is not a single point" % (site,))
-        lifted[site] = pt.point()
-    return lifted
+        return pt.point()
+    a, b, c, q = ([v[k] for k in pivots] for v in (*images, point.coords))
+    n12, n20, n01 = _cross(b, c), _cross(c, a), _cross(a, b)
+    lam = [sum(x * y for x, y in zip(n, q)) for n in (n12, n20, n01)]
+    det = sum(x * y for x, y in zip(n01, c))
+    image = [sum(x * y for x, y in zip(lam, col)) for col in zip(*images)]
+    if image != [det * x for x in point.coords]:
+        raise GeometryError("lift meet at %s is not a single point" % (site,))
+    return HPoint([sum(x * y for x, y in zip(lam, col)) for col in zip(*(u.coords for u in plane))])
+
+
+def _cross(a: list[int], b: list[int]) -> tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
@@ -149,7 +193,7 @@ def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
         raise DimensionMismatchError("center has wrong ambient dimension")
     if not supplementary(center, screen):
         raise GeometryError("center is not supplementary to the net's span")
-    out = QNet(d, m, lift_partial(net.points(), d, center, seed))
+    out = QNet(d, m, lift_partial(net.points(), d, Projector(center, screen), seed))
     if not check_extensive(out):
         raise GeneralPositionError("lifted net failed the extensivity check")
     return LiftResult(out, center, screen, seed)

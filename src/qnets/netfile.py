@@ -25,7 +25,7 @@ from .construct import PartialNet
 from .errors import GeneralPositionError, NetFileError
 from .invariants import InvariantField
 from .lifts import sample_supplementary
-from .projective import HPoint, Subspace, central_projection, join
+from .projective import HPoint, Projector, Subspace
 from .qnet import GridDomain, QNet
 
 
@@ -203,11 +203,8 @@ def _to_three_space(net: QNet, seed: int) -> dict:
         center = sample_supplementary(screen, rng.randrange(2**30))
         if any(center.contains_point(net[s]) for s in net.domain.sites()):
             continue
-        out = {}
-        for s in net.domain.sites():
-            image = central_projection(net[s], center, screen)
-            out[s] = screen.point_coords(image)
-        return out
+        project = Projector(center, screen)
+        return {s: screen.point_coords(project(net[s])) for s in net.domain.sites()}
     raise GeneralPositionError("could not sample a projection to three-space")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -358,28 +358,70 @@ def multi_ratio(
     return Fraction(num, den)
 
 
+class Projector:
+    """Central projection through a fixed center onto a fixed screen, as one
+    integer matrix.
+
+    With A the center's echelon rows stacked on the screen's, a vector
+    v = a A splits as its center part plus its screen part; the screen part
+    is v times the screen columns of A^-1, times the screen rows.  ``matrix``
+    is that map scaled to primitive integers, computed once by fraction-free
+    elimination of [A | I], so the image of a point is one matrix-vector
+    product: the same point as (p v C) ^ E, and zero exactly on the center.
+    """
+
+    __slots__ = ("center", "screen", "matrix")
+
+    def __init__(self, center: Subspace, screen: Subspace):
+        if center.ambient_dim != screen.ambient_dim:
+            raise DimensionMismatchError("projection operands in different ambient spaces")
+        size = center.ambient_dim + 1
+        rows = center.rows + screen.rows
+        pivots: tuple[int, ...] = ()
+        if len(rows) == size:
+            # [A | I] reduces to the rows d_r e_r | d_r (row r of A^-1).
+            eye = [[int(k == c) for c in range(size)] for k in range(size)]
+            red, pivots = echelon([list(row) + e for row, e in zip(rows, eye)], size)
+        if len(pivots) != size:
+            raise GeometryError("center and screen are not supplementary")
+        scale = lcm(*(row[r] for r, row in enumerate(red)))
+        # cols[r]: row r of scale * A^-1, in the columns of the screen rows.
+        k = size + len(center.rows)
+        cols = [[scale // row[r] * x for x in row[k:]] for r, row in enumerate(red)]
+        matrix = [
+            [sum(s[a] * x for s, x in zip(screen.rows, col)) for col in cols] for a in range(size)
+        ]
+        content = gcd(*(x for row in matrix for x in row)) or 1
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "screen", screen)
+        object.__setattr__(self, "matrix", tuple(tuple(x // content for x in row) for row in matrix))
+
+    def apply(self, coords: Sequence[int]) -> list[int]:
+        """The matrix times an integer vector (zero on the center)."""
+        return [sum(a * b for a, b in zip(row, coords)) for row in self.matrix]
+
+    def __call__(self, p: HPoint) -> HPoint:
+        if len(p.coords) != len(self.matrix):
+            raise DimensionMismatchError("projection operands in different ambient spaces")
+        image = self.apply(p.coords)
+        if not any(image):
+            raise ProjectionUndefinedError("point lies in the projection center")
+        return HPoint(image)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Projector is immutable")
+
+
 def central_projection(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:
     """Projection with the given center onto the screen: (p v C) ^ E.
 
     Center and screen must be supplementary; points of the center have no
-    image.
+    image.  Callers projecting many points through one pair build its
+    ``Projector`` once.
     """
     if p.ambient_dim != center.ambient_dim or center.ambient_dim != screen.ambient_dim:
         raise DimensionMismatchError("projection operands in different ambient spaces")
-    if not supplementary(center, screen):
-        raise GeometryError("center and screen are not supplementary")
-    return _project(p, center, screen)
-
-
-def _project(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:
-    """``central_projection`` through a center and screen already known to
-    be supplementary, for callers that project many points through them."""
-    if center.contains_point(p):
-        raise ProjectionUndefinedError("point lies in the projection center")
-    image = meet(join([p, center]), screen)
-    if image.projective_dim != 0:
-        raise GeometryError("projection image is not a single point")
-    return image.point()
+    return Projector(center, screen)(p)
 
 
 class Quadric:

@@ -79,9 +79,12 @@ class QNet:
     non-degeneracy are explicit predicates (validate_qnet,
     check_nondegenerate) so that defective nets can be represented and
     reported on.
+
+    ``_memo`` holds what ``_face_transforms`` and ``_laplace`` computed
+    from the points, per direction, for the life of the net.
     """
 
-    __slots__ = ("domain", "ambient_dim", "_points")
+    __slots__ = ("domain", "ambient_dim", "_points", "_memo")
 
     def __init__(self, domain: GridDomain, ambient_dim: int, points: Mapping[Site, HPoint]):
         missing = [s for s in domain.sites() if s not in points]
@@ -93,6 +96,7 @@ class QNet:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_points", {s: points[s] for s in domain.sites()})
+        object.__setattr__(self, "_memo", {})
 
     def point(self, i: int, j: int) -> HPoint:
         return self._points[(i, j)]
@@ -275,27 +279,51 @@ def _face_transform_point(
     return pt
 
 
+def _face_transforms(net: QNet, direction: Direction) -> dict[Site, HPoint | GeometryError]:
+    """Every face's transform point, or the GeometryError it raises,
+    computed once per net and direction.  Callers must not mutate it.
+
+    An error is kept as an unraised copy: the raised one's traceback would
+    hold the frames of this call, and so the net, alive."""
+    faces = net._memo.get(direction)
+    if faces is None:
+        faces = {}
+        for face in net.domain.faces():
+            try:
+                faces[face] = _face_transform_point(net._points, face, direction)
+            except GeometryError as exc:
+                faces[face] = type(exc)(*exc.args)
+        net._memo[direction] = faces
+    return faces
+
+
 def transform_points(net: QNet, direction: Direction) -> dict[Site, HPoint]:
     """Per-face transform points, skipping faces where the meet fails.
 
     Used by the invariants module so that one-sided degeneracies still
     yield the computable half of the invariant field.
     """
-    out: dict[Site, HPoint] = {}
-    for face in net.domain.faces():
-        try:
-            out[face] = _face_transform_point(net, face, direction)
-        except GeometryError:
-            continue
-    return out
+    return {f: p for f, p in _face_transforms(net, direction).items() if isinstance(p, HPoint)}
 
 
 def _laplace(net: QNet, direction: Direction) -> QNet:
-    d = net.domain
-    if d.width_i < 1 or d.width_j < 1:
-        raise GeometryError("window has no faces to transform")
-    pts = {face: _face_transform_point(net, face, direction) for face in d.faces()}
-    return QNet(d.shrunk(), net.ambient_dim, pts)
+    """The single transform step, kept on the net; a failure is kept too and
+    raised anew as the same type with the same message on every call."""
+    key = ("step", direction)
+    step = net._memo.get(key)
+    if step is None:
+        d = net.domain
+        if d.width_i < 1 or d.width_j < 1:
+            step = GeometryError("window has no faces to transform")
+        else:
+            faces = _face_transforms(net, direction)
+            step = next((x for x in faces.values() if not isinstance(x, HPoint)), None)
+            if step is None:
+                step = QNet(d.shrunk(), net.ambient_dim, faces)
+        net._memo[key] = step
+    if isinstance(step, GeometryError):
+        raise type(step)(*step.args)
+    return step
 
 
 def laplace_forward(net: QNet) -> QNet:
@@ -388,11 +416,8 @@ def degenerate_transform(net: QNet, m: int, kind: str) -> QNet | None:
 
 
 def _first_failing_face(net: QNet, direction: Direction) -> tuple[Site, Site] | None:
-    for face in net.domain.faces():
-        try:
-            _face_transform_point(net, face, direction)
-        except GeometryError:
-            i, j = face
+    for (i, j), point in _face_transforms(net, direction).items():
+        if not isinstance(point, HPoint):
             return ((i, j), (i + 1, j + 1))
     return None
 

@@ -8,6 +8,7 @@ fixed seed count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import construct
 from .errors import QnetsError
@@ -54,9 +55,9 @@ def _run(result: PropertyResult, label: str, check) -> None:
 
 
 def _once(make):
-    """``make(seed)`` memoised within one suite run, a QnetsError it raises
-    included, so that an instance checked by several properties is built
-    once and fails each of them with the same label."""
+    """``make(seed)`` memoised for the life of the returned getter, a
+    QnetsError it raises included, so that an instance checked by several
+    properties is built once and fails each of them with the same label."""
     built: dict = {}
 
     def get(s: int):
@@ -115,9 +116,8 @@ def _is_backward_laplace(net: QNet, steps: int) -> bool:
     return degenerate_transform(net, -steps, "laplace") is not None
 
 
-def suite_termination(seeds: int) -> list[PropertyResult]:
+def suite_termination(seeds: int, laplace_m2: Callable[[int], QNet]) -> list[PropertyResult]:
     results = []
-    laplace_m2 = _once(_laplace_m2)
     cases = [
         ("termination/laplace-m1-backward-m2", lambda s: _is_backward_laplace(construct.bs_laplace_degenerate_m1(3, 3, 3, s), 2)),
         ("termination/laplace-m2-backward-m3", lambda s: _is_backward_laplace(laplace_m2(s), 3)),
@@ -165,7 +165,7 @@ def _bottom_rows_agree(net: QNet, d_b: QNet | None) -> bool:
     return all(p_b[(i, pd.j_min)] == d_b[(i, pd.j_min)] for i in range(pd.i_min, pd.i_max + 1))
 
 
-def suite_symmetry(seeds: int) -> list[PropertyResult]:
+def suite_symmetry(seeds: int, laplace_m2: Callable[[int], QNet]) -> list[PropertyResult]:
     sym0 = PropertyResult("symmetry/invariants-m0")
     sym1 = PropertyResult("symmetry/invariants-m1")
     coupling = PropertyResult("symmetry/forward-P-backward-D-coupling")
@@ -175,7 +175,7 @@ def suite_symmetry(seeds: int) -> list[PropertyResult]:
     def coupled(s: int) -> tuple[QNet, QNet | None]:
         """P and the backward 2-fold transform of its diagonal net when that
         is Laplace degenerate (None otherwise)."""
-        net = _laplace_m2(s)
+        net = laplace_m2(s)
         return net, degenerate_transform(diagonal_intersection_net(net), -2, "laplace")
 
     for s in range(seeds):
@@ -231,11 +231,13 @@ SUITES = {
 
 
 def run_suites(which: str, seeds: int) -> list[PropertyResult]:
-    if which == "all":
-        out: list[PropertyResult] = []
-        for name in ("recurrence", "termination", "symmetry", "quadric"):
-            out.extend(SUITES[name](seeds))
-        return out
-    if which not in SUITES:
+    if which != "all" and which not in SUITES:
         raise ValueError("unknown suite %r" % which)
-    return SUITES[which](seeds)
+    # The termination and symmetry suites both check the m=2 instance: one
+    # getter per call builds it once per seed for both.
+    laplace_m2 = _once(_laplace_m2)
+    shared = {"termination": (laplace_m2,), "symmetry": (laplace_m2,)}
+    out: list[PropertyResult] = []
+    for name in SUITES if which == "all" else (which,):
+        out.extend(SUITES[name](seeds, *shared.get(name, ())))
+    return out

@@ -30,9 +30,18 @@ from qnets import (
 )
 from qnets.construct import construct_double_degenerate, double_degenerate_boundary
 from qnets.errors import DimensionMismatchError
-from qnets.lifts import embed_net, has_koenigs_hyperplanes, hyperplane_pair_quadric
+from qnets.construct import laplace_degenerate_boundary
+from qnets.lifts import (
+    embed_net,
+    has_koenigs_hyperplanes,
+    hyperplane_pair_quadric,
+    lift_partial,
+    sample_supplementary,
+    staircase_point,
+)
+from qnets.projective import Projector
 from qnets.linalg import nullspace
-from qnets.qnet import GridDomain, QNet, TerminationReport
+from qnets.qnet import GridDomain, QNet, TerminationReport, net_span
 from helpers import random_point
 
 F = Fraction
@@ -81,6 +90,93 @@ class TestLift:
         target = embed_net(down, res.lifted.ambient_dim)
         for s in down.domain.sites():
             assert res.project_point(up[s]) == target[s]
+
+
+def _meet_lift(points, domain, center, seed):
+    """Reference lift: the same staircase, and each forced point as the meet
+    of the line through its point and the center with the lifted
+    predecessor plane."""
+    rng = random.Random(seed)
+    chosen, lifted = [], {}
+    for site in sorted(points, key=lambda s: (s[1], s[0])):
+        if site[0] == domain.i_min or site[1] == domain.j_min:
+            lifted[site] = staircase_point(site, points[site], center, chosen, rng)
+            continue
+        i, j = site
+        plane = join([lifted[p] for p in ((i - 1, j - 1), (i - 1, j), (i, j - 1))])
+        x = meet(join([points[site], center]), plane)
+        if x.projective_dim != 0:
+            raise GeometryError("lift meet at %s is not a single point" % (site,))
+        lifted[site] = x.point()
+    return lifted
+
+
+def _both_lifts(points, domain, center, screen, seed):
+    """The outcomes of lift_partial and of the reference: the lifted points,
+    or the type and message of the error."""
+    out = []
+    for run in (
+        lambda: lift_partial(points, domain, Projector(center, screen), seed),
+        lambda: _meet_lift(points, domain, center, seed),
+    ):
+        try:
+            out.append(run())
+        except GeometryError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+class TestForcedLift:
+    def test_complete_nets_match_the_meet(self):
+        for a, b, n in ((2, 2, 3), (3, 2, 2), (2, 3, 4), (3, 3, 3)):
+            for seed in range(3):
+                net = embed_net(random_qnet(a, b, n, seed), a + b)
+                screen = net_span(net)
+                center = sample_supplementary(screen, seed)
+                got, want = _both_lifts(net.points(), net.domain, center, screen, seed)
+                assert isinstance(got, dict) and got == want
+
+    def test_boundary_data_matches_the_meet(self):
+        for seed in range(3):
+            boundary = laplace_degenerate_boundary(2, 3, 4, 3, seed)
+            pad = (0,) * 4
+            points = {s: HPoint(p.coords + pad) for s, p in boundary.points.items()}
+            screen = join(list(points.values()))
+            center = sample_supplementary(screen, seed)
+            got, want = _both_lifts(points, boundary.domain, center, screen, seed)
+            assert isinstance(got, dict) and got == want
+
+    def test_face_off_its_plane_fails_like_the_meet(self):
+        net = embed_net(random_qnet(2, 2, 3, 4), 4)
+        points = net.points()
+        points[(1, 1)] = HPoint((1, 2, 3, 5, 0))
+        screen = net_span(net)
+        center = sample_supplementary(screen, 4)
+        got, want = _both_lifts(points, net.domain, center, screen, 4)
+        assert got == want == (GeometryError, "lift meet at (1, 1) is not a single point")
+
+    def test_plane_through_the_center_takes_the_meet(self):
+        # (0,0), (1,0), (0,1) are collinear, so the lifted plane of the face
+        # at (0,0) meets the center, and so does the next one.
+        coords = {
+            (0, 0): (1, 0, 0, 0),
+            (1, 0): (0, 1, 0, 0),
+            (2, 0): (1, 2, 1, 0),
+            (0, 1): (1, 1, 0, 0),
+            (1, 1): (0, 0, 1, 0),
+            (2, 1): (2, 1, 0, 0),
+        }
+        points = {s: HPoint(c) for s, c in coords.items()}
+        domain = GridDomain(0, 2, 0, 1)
+        screen = join(list(points.values()))
+        for seed in range(3):
+            center = sample_supplementary(screen, seed)
+            got, want = _both_lifts(points, domain, center, screen, seed)
+            assert got == want
+            assert got[(1, 1)] == got[(2, 1)] == center.point()
+        points[(2, 1)] = HPoint((1, 0, 1, 0))
+        got, want = _both_lifts(points, domain, center, screen, 0)
+        assert got == want == (GeometryError, "lift meet at (2, 1) is not a single point")
 
 
 class TestGoursatLift:

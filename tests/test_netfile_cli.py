@@ -3,6 +3,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnets import HPoint, PartialNet, QNet, affine_grid, random_bs_koenigs, random_qnet
 from qnets.cli import main
@@ -316,3 +318,104 @@ class TestCliContract:
         assert len(lines) == 1
         doc = json.loads(lines[0])
         assert set(doc) >= {"error", "message"}
+
+    @pytest.mark.parametrize("case", ["verify negative seeds", "verify zero seeds"])
+    def test_cli_usage_errors_have_a_public_kind(self, case, capsys):
+        assert main([str(a) for a in USAGE_ERRORS[case]] + ["--json"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+    def test_bad_seed_variable_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QNET_SEED", "seven")
+        out = tmp_path / "net.json"
+        assert main(["generate", "--rows", "2", "--cols", "2", "--dim", "3", "-o", str(out), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "UsageError" and "QNET_SEED" in doc["message"]
+
+    def test_boundary_file_where_a_net_is_needed(self, tmp_path, capsys):
+        path = tmp_path / "boundary.json"
+        net = random_qnet(2, 2, 3, 0)
+        write_net(str(path), PartialNet(net.domain, 3, {(0, 0): net[(0, 0)]}))
+        assert main(["check", "-i", str(path), "--json"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "UsageError" and "boundary data" in doc["message"]
+
+
+ARGPARSE_ERRORS = {
+    "bad int": ["generate", "--rows", "x", "--cols", "2", "--dim", "3", "-o", "x.json"],
+    "missing required option": ["generate", "--cols", "2", "--dim", "3", "-o", "x.json"],
+    "unknown choice": ["verify", "--suite", "everything"],
+}
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize("case", sorted(ARGPARSE_ERRORS))
+    def test_one_json_object_under_json(self, case, capsys):
+        assert main(ARGPARSE_ERRORS[case] + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "UsageError" and doc["message"]
+
+    @pytest.mark.parametrize("case", sorted(ARGPARSE_ERRORS))
+    def test_argparse_text_without_json(self, case, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(ARGPARSE_ERRORS[case])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qnets ") and "error: " in err
+
+    def test_abbreviated_json_flag(self, capsys):
+        assert main(ARGPARSE_ERRORS["unknown choice"] + ["--js"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([0, "0", 1, -2, "1/2", "2.5", "1e3", "1e99999", "x", "1/0", "", True, None]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _documents(draw):
+    """Net documents of the right shape, with hostile entries, and at
+    times one field replaced by arbitrary JSON."""
+    n, i1, j1 = draw(st.integers(0, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entry = st.one_of(
+        st.none(),
+        st.lists(_SCALARS, min_size=n + 1, max_size=n + 1),
+        st.lists(st.sampled_from([0, "0", "0/3", 0.0, "-0e5"]), min_size=n + 1, max_size=n + 1),
+        st.lists(_SCALARS, max_size=5),
+        _JSON,
+    )
+    doc = {
+        "ambient_dim": n,
+        "i_range": [0, i1],
+        "j_range": [0, j1],
+        "points": [[draw(entry) for _ in range(j1 + 1)] for _ in range(i1 + 1)],
+    }
+    field = draw(st.sampled_from([None, "ambient_dim", "i_range", "j_range", "points"]))
+    if field is not None:
+        doc[field] = draw(_JSON)
+    return doc
+
+
+class TestNetFileFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(_documents(), _JSON))
+    def test_net_or_net_file_error(self, doc):
+        try:
+            net = net_from_dict(doc)
+        except NetFileError:
+            return
+        assert isinstance(net, (QNet, PartialNet))

@@ -23,7 +23,7 @@ from qnets import (
     span,
 )
 from qnets.errors import DimensionMismatchError, ProjectionUndefinedError
-from qnets.projective import transform_point
+from qnets.projective import Projector, supplementary, transform_point
 from helpers import oracle_rank, random_collinear, random_invertible, random_point
 
 F = Fraction
@@ -223,6 +223,66 @@ class TestCentralProjection:
         screen = Subspace.from_rows([[1, 0, 0], [0, 1, 0]], 2)
         with pytest.raises(GeometryError):
             central_projection(pt(0, 0, 1), center, screen)
+
+
+def _supplementary_pair(rng: random.Random, n: int) -> tuple[Subspace, Subspace]:
+    while True:
+        k = rng.randint(0, n)
+        rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(n + 1)]
+        center = Subspace.from_rows(rows[:k], n)
+        screen = Subspace.from_rows(rows[k:], n)
+        if supplementary(center, screen):
+            return center, screen
+
+
+class TestProjector:
+    def test_images_match_the_join_meet_projection(self):
+        rng = random.Random(31)
+        for n in range(3, 10):
+            for _ in range(4):
+                center, screen = _supplementary_pair(rng, n)
+                project = Projector(center, screen)
+                for _ in range(6):
+                    p = random_point(rng, n)
+                    if center.contains_point(p):
+                        continue
+                    image = project(p)
+                    assert image == meet(join([p, center]), screen).point()
+                    assert image == central_projection(p, center, screen)
+                    assert project(image) == image
+
+    def test_points_of_the_center_have_no_image(self):
+        rng = random.Random(32)
+        for n in range(3, 10):
+            center, screen = _supplementary_pair(rng, n)
+            if center.is_empty:
+                continue
+            _, rows = center.scaled_basis
+            for _ in range(4):
+                coeffs = [rng.randint(-5, 5) for _ in rows]
+                if not any(coeffs):
+                    continue
+                p = HPoint([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)])
+                with pytest.raises(ProjectionUndefinedError):
+                    Projector(center, screen)(p)
+
+    def test_empty_center_and_empty_screen(self):
+        full, empty = Subspace.full(3), Subspace.empty(3)
+        p = pt(3, -1, 4, 1)
+        assert Projector(empty, full)(p) == p
+        with pytest.raises(ProjectionUndefinedError):
+            Projector(full, empty)(p)
+
+    def test_pair_checks(self):
+        screen = Subspace.from_rows([[1, 0, 0], [0, 1, 0]], 2)
+        with pytest.raises(GeometryError):
+            Projector(Subspace.from_points([pt(1, 0, 0)]), screen)
+        with pytest.raises(GeometryError):
+            Projector(Subspace.empty(2), screen)
+        with pytest.raises(DimensionMismatchError):
+            Projector(Subspace.from_points([pt(0, 0, 0, 1)]), screen)
+        with pytest.raises(DimensionMismatchError):
+            Projector(Subspace.from_points([pt(0, 0, 1)]), screen)(pt(1, 1, 1, 1))
 
 
 class TestQuadric:

@@ -297,3 +297,41 @@ class TestTranspositionDuality:
         nets = [random_qnet(3, 3, 3, s) for s in range(4)] + [random_bs_koenigs(3, 3, 3, 0)]
         for net in nets:
             assert laplace_forward(net).transposed() == laplace_backward(net.transposed())
+
+
+class TestTransformMemo:
+    def test_returned_dicts_and_fields_are_fresh(self):
+        from qnets import laplace_invariants
+        from qnets.qnet import transform_points
+
+        net = random_qnet(3, 3, 3, 8)
+        twin = QNet(net.domain, net.ambient_dim, net.points())
+        pts = transform_points(net, "forward")
+        pts.clear()
+        field = laplace_invariants(net)
+        field.h.clear()
+        field.k[(0, 1)] = 0
+        assert transform_points(net, "forward") == transform_points(twin, "forward")
+        again = laplace_invariants(net)
+        fresh = laplace_invariants(twin)
+        assert again.h == fresh.h and again.k == fresh.k and again.h
+        assert laplace_forward(net) == laplace_forward(twin)
+        assert laplace_forward(net) is laplace_forward(net)
+
+    def test_cached_failure_is_raised_again(self):
+        net = laplace_forward(affine_grid(2, 2))  # constant net
+        raised = []
+        for _ in range(3):
+            with pytest.raises(GeometryError) as err:
+                laplace_forward(net)
+            raised.append(err.value)
+        assert {type(e) for e in raised} == {GeometryError}
+        assert len({str(e) for e in raised}) == 1 and "face" in str(raised[0])
+        assert len({id(e) for e in raised}) == 3
+        single = laplace_forward(laplace_forward(random_qnet(2, 2, 3, 1)))
+        for _ in range(2):
+            with pytest.raises(GeometryError, match="no faces"):
+                laplace_backward(single)
+        reports = [laplace_iterate(net, 1) for _ in range(2)]
+        assert reports[0] == reports[1]
+        assert isinstance(reports[0], TerminationReport)
