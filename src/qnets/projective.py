@@ -12,8 +12,19 @@ Conventions:
   p1..p4 is  det(p1,p2) det(p3,p4) / (det(p2,p3) det(p4,p1)),
 * the multi-ratio of six collinear points is
   det(p1,p2)/det(p2,p3) * det(p3,p4)/det(p4,p5) * det(p5,p6)/det(p6,p1),
-* both are chart-independent; the chart used is the pair of pivot
-  coordinates of the spanning line's canonical basis.
+* both are chart-independent: the 2x2 minors of points of one line in two
+  charts differ by one common nonzero factor, and both ratios have as many
+  minors above the fraction bar as below.
+
+Certificate first, Bareiss fallback.  The small rank questions behind the
+Q-net predicates (do 2 to 4 points coincide, lie on a line, span a plane;
+where do two coplanar lines meet) are decided from closed-form minors in
+the leading coordinates: one nonzero minor proves a lower bound on the
+rank, and a coordinatewise Cramer identity decides whether one more point
+lies in the span it certifies.  Only when every certificate minor vanishes
+does the predicate fall back to fraction-free elimination
+(``linalg.bareiss``).  Both routes give the same answer, so outputs do not
+depend on which one ran.
 """
 
 from __future__ import annotations
@@ -272,24 +283,68 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, *echelon([row[ncols:] for row in work[rank:]], ncols))
 
 
+def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    """The 3x3 minor [abc] of three vectors in columns 0, 1, 2."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def _in_plane(
+    a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int], abc: int, abd: int
+) -> bool:
+    """Whether d lies in the span of a, b, c, given their minors
+    abc = [abc] != 0 and abd = [abd].
+
+    By Cramer's rule in columns 0, 1, 2, d is in the span exactly when
+    [abc] d = [dbc] a + [adc] b + [abd] c in every coordinate.  The
+    identity holds in columns 0, 1, 2 by construction, so only the later
+    columns are tested.
+    """
+    dbc, adc = _det3(d, b, c), _det3(a, d, c)
+    for k in range(3, len(d)):
+        if abc * d[k] != dbc * a[k] + adc * b[k] + abd * c[k]:
+            return False
+    return True
+
+
 def line_meet(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> HPoint | None:
     """The point where the line ab meets the line cd, or None when the four
     points do not span a plane (skew or coincident lines).
 
     Grassmann-Cayley: meet(ab, cd) = [a b d] c - [a b c] d, the brackets
-    taken as 3x3 determinants in the pivot chart of the plane.  The two
-    pairs must be distinct points.
+    taken as 3x3 determinants in any chart of three coordinates onto which
+    the plane projects isomorphically.  Brackets of points of the plane in
+    two such charts differ by one common nonzero factor, so the point does
+    not depend on the chart.  The chart is columns 0, 1, 2 when [abc] or
+    [abd] is nonzero there, which also certifies the plane (the fourth
+    point is tested against it by Cramer's rule), and otherwise the pivot
+    columns of the Bareiss elimination of the four points.  The two pairs
+    must be distinct points.
     """
-    ncols = len(a.coords)
-    pivots = bareiss([a.coords, b.coords, c.coords, d.coords], ncols)[0]
-    if len(pivots) != 3:
-        return None
-    i, j, k = pivots
-    ai, aj, ak = a.coords[i], a.coords[j], a.coords[k]
-    bi, bj, bk = b.coords[i], b.coords[j], b.coords[k]
-    ni, nj, nk = aj * bk - ak * bj, ak * bi - ai * bk, ai * bj - aj * bi
-    abc = ni * c.coords[i] + nj * c.coords[j] + nk * c.coords[k]
-    abd = ni * d.coords[i] + nj * d.coords[j] + nk * d.coords[k]
+    p, q, r, t = a.coords, b.coords, c.coords, d.coords
+    abc = abd = 0
+    if len(p) >= 3:
+        abc, abd = _det3(p, q, r), _det3(p, q, t)
+    if abc:
+        if not _in_plane(p, q, r, t, abc, abd):
+            return None
+    elif abd:
+        if not _in_plane(p, q, t, r, abd, abc):
+            return None
+    else:
+        ncols = len(a.coords)
+        pivots = bareiss([a.coords, b.coords, c.coords, d.coords], ncols)[0]
+        if len(pivots) != 3:
+            return None
+        i, j, k = pivots
+        ai, aj, ak = a.coords[i], a.coords[j], a.coords[k]
+        bi, bj, bk = b.coords[i], b.coords[j], b.coords[k]
+        ni, nj, nk = aj * bk - ak * bj, ak * bi - ai * bk, ai * bj - aj * bi
+        abc = ni * c.coords[i] + nj * c.coords[j] + nk * c.coords[k]
+        abd = ni * d.coords[i] + nj * d.coords[j] + nk * d.coords[k]
     x = [abd * y - abc * z for y, z in zip(c.coords, d.coords)]
     if not any(x):
         return None
@@ -297,8 +352,26 @@ def line_meet(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> HPoint | None:
 
 
 def span_dim(points: Sequence[HPoint]) -> int:
-    """Projective dimension of the join of points, from their Bareiss rank
-    (cheaper than join when no canonical basis is needed)."""
+    """Projective dimension of the join of points (cheaper than join when
+    no canonical basis is needed).
+
+    Two points span a line exactly when their canonical coordinates differ.
+    Three or four points with a nonzero minor [abc] in columns 0, 1, 2 span
+    at least a plane, and the fourth is tested against it by Cramer's rule.
+    Rank is the same in every chart, so the answer does not depend on the
+    columns the minor is taken in; without such a minor it is the Bareiss
+    rank.
+    """
+    if len(points) == 2:
+        return int(points[0].coords != points[1].coords)
+    if 3 <= len(points) <= 4 and len(points[0].coords) >= 3:
+        a, b, c = points[0].coords, points[1].coords, points[2].coords
+        abc = _det3(a, b, c)
+        if abc:
+            if len(points) == 3:
+                return 2
+            d = points[3].coords
+            return 2 if _in_plane(a, b, c, d, abc, _det3(a, b, d)) else 3
     return len(bareiss([p.coords for p in points], len(points[0].coords))[0]) - 1
 
 
@@ -313,8 +386,27 @@ def supplementary(a: Subspace, b: Subspace) -> bool:
 
 
 def _chart(points: Sequence[HPoint], expect: int) -> list[tuple[int, int]]:
-    """Common 2-coordinate chart of collinear points (pivot coordinates of
-    the canonical line basis)."""
+    """Common 2-coordinate chart of collinear points.
+
+    The chart is columns 0, 1 when the first two points have a nonzero 2x2
+    minor [p1 p2] there: then each further point q is on their line exactly
+    when [p1 p2] q = [q p2] p1 + [p1 q] p2 in every coordinate (it holds in
+    columns 0, 1 by construction).  Otherwise it is the pivot columns of
+    the Bareiss elimination of all points.  In any chart onto which the
+    line projects isomorphically, the 2x2 minors of its points differ by one
+    common nonzero factor, which cancels in the cross- and multi-ratio.
+    """
+    u, v = points[0].coords, points[1].coords
+    if len(u) >= 2:
+        uv = u[0] * v[1] - u[1] * v[0]
+        if uv:
+            for p in points[2:]:
+                w = p.coords
+                wv, uw = w[0] * v[1] - w[1] * v[0], u[0] * w[1] - u[1] * w[0]
+                for k in range(2, len(w)):
+                    if uv * w[k] != wv * u[k] + uw * v[k]:
+                        raise GeometryError("points are not collinear")
+            return [p.coords[:2] for p in points]
     pivots = bareiss([p.coords for p in points], len(points[0].coords))[0]
     if len(pivots) > 2:
         raise GeometryError("points are not collinear")

@@ -80,9 +80,11 @@ def _laplace_m2(s: int) -> QNet:
 def suite_recurrence(seeds: int) -> list[PropertyResult]:
     geometry = PropertyResult("recurrence/matches-geometric-field")
     shifts = PropertyResult("recurrence/shift-identities")
+    # Both properties check the same net: build it once per seed.
+    base_net = _once(lambda s: construct.random_qnet(3, 3, 3, s))
     for s in range(seeds):
         def check_geometry(s=s):
-            net = construct.random_qnet(3, 3, 3, s)
+            net = base_net(s)
             f = laplace_invariants(net)
             fwd = laplace_iterate(net, 1)
             if isinstance(fwd, TerminationReport):
@@ -106,7 +108,7 @@ def suite_recurrence(seeds: int) -> list[PropertyResult]:
         def check_shifts(s=s):
             from .invariants import hk_shift_check
 
-            return hk_shift_check(construct.random_qnet(3, 3, 3, s))
+            return hk_shift_check(base_net(s))
 
         _run(shifts, "seed %d" % s, check_shifts)
     return [geometry, shifts]

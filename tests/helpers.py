@@ -1,7 +1,9 @@
 """Shared test utilities.
 
-oracle_rank is the independent elimination oracle: fraction-free Bareiss
-over integers, sharing no code with the package's RREF.
+oracle_pivots and oracle_rank are the independent elimination oracle:
+fraction-free Bareiss over integers, sharing no code with the package's
+RREF.  The reference_* functions answer the small rank questions of
+``qnets.projective`` from that oracle alone, without certificate minors.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from qnets import HPoint
+from qnets import INFINITY, GeometryError, HPoint, UndefinedCrossRatioError
 
 
-def oracle_rank(rows) -> int:
-    """Rank by Bareiss fraction-free elimination with column pivoting."""
+def oracle_pivots(rows) -> list[int]:
+    """Pivot columns of Bareiss fraction-free elimination with column
+    pivoting (the columns not in the span of the columns before them)."""
     work = []
     for row in rows:
         fr = [Fraction(x) for x in row]
@@ -23,10 +26,11 @@ def oracle_rank(rows) -> int:
             den = den * x.denominator // gcd(den, x.denominator)
         work.append([int(x * den) for x in fr])
     if not work:
-        return 0
+        return []
     nrows, ncols = len(work), len(work[0])
     prev = 1
     r = 0
+    pivots = []
     for c in range(ncols):
         pivot_row = None
         for k in range(r, nrows):
@@ -41,10 +45,16 @@ def oracle_rank(rows) -> int:
                 work[k][cc] = (work[k][cc] * work[r][c] - work[k][c] * work[r][cc]) // prev
             work[k][c] = 0
         prev = work[r][c]
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return pivots
+
+
+def oracle_rank(rows) -> int:
+    """Rank by Bareiss fraction-free elimination with column pivoting."""
+    return len(oracle_pivots(rows))
 
 
 def oracle_det3(m) -> Fraction:
@@ -101,3 +111,46 @@ def oracle_det(matrix) -> Fraction:
         minor = [row[:k] + row[k + 1 :] for row in matrix[1:]]
         total += (-1) ** k * Fraction(matrix[0][k]) * oracle_det(minor)
     return total
+
+
+def reference_span_dim(points) -> int:
+    """Projective dimension of the join of points, from the oracle rank."""
+    return oracle_rank([p.coords for p in points]) - 1
+
+
+def reference_line_meet(a, b, c, d):
+    """The meet of lines ab and cd by Grassmann-Cayley in the oracle's pivot
+    chart of the four points, or None when they do not span a plane."""
+    pivots = oracle_pivots([a.coords, b.coords, c.coords, d.coords])
+    if len(pivots) != 3:
+        return None
+    a3, b3, c3, d3 = ([p.coords[k] for k in pivots] for p in (a, b, c, d))
+    abc, abd = oracle_det3([a3, b3, c3]), oracle_det3([a3, b3, d3])
+    x = [abd * y - abc * z for y, z in zip(c.coords, d.coords)]
+    return HPoint(x) if any(x) else None
+
+
+def reference_ratio(*points):
+    """Cross-ratio (four points) or multi-ratio (six points) in the oracle's
+    pivot chart of the points, with the package's errors and messages."""
+    pivots = oracle_pivots([p.coords for p in points])
+    if len(pivots) > 2:
+        raise GeometryError("points are not collinear")
+    if len(pivots) < 2:
+        raise UndefinedCrossRatioError("all %d points coincide" % len(points))
+    q = [(p.coords[pivots[0]], p.coords[pivots[1]]) for p in points]
+    k = len(q)
+    num = den = 1
+    for i in range(k):
+        u, v = q[i], q[(i + 1) % k]
+        if i % 2:
+            den *= u[0] * v[1] - u[1] * v[0]
+        else:
+            num *= u[0] * v[1] - u[1] * v[0]
+    if den == 0:
+        if num == 0:
+            raise UndefinedCrossRatioError(
+                "%s of the form 0/0" % ("cross-ratio" if k == 4 else "multi-ratio")
+            )
+        return INFINITY
+    return Fraction(num, den)

@@ -22,9 +22,17 @@ from qnets import (
     singular_locus,
     span,
 )
-from qnets.errors import DimensionMismatchError, ProjectionUndefinedError
-from qnets.projective import Projector, supplementary, transform_point
-from helpers import oracle_rank, random_collinear, random_invertible, random_point
+from qnets.errors import DimensionMismatchError, ProjectionUndefinedError, QnetsError
+from qnets.projective import Projector, line_meet, span_dim, supplementary, transform_point
+from helpers import (
+    oracle_rank,
+    random_collinear,
+    random_invertible,
+    random_point,
+    reference_line_meet,
+    reference_ratio,
+    reference_span_dim,
+)
 
 F = Fraction
 
@@ -185,6 +193,80 @@ class TestMultiRatio:
         pts = random_collinear(rng, 2, 6)
         scaled = [p.scaled(F(3, 7)) for p in pts]
         assert multi_ratio(*scaled) == multi_ratio(*pts)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the QnetsError it
+    raises."""
+    try:
+        return fn(*args)
+    except QnetsError as exc:
+        return type(exc), str(exc)
+
+
+def _configuration(rng, n, rank, zeros):
+    """Six points of RP^n spanning at most ``rank`` dimensions: small integer
+    combinations of ``rank`` random vectors whose first ``zeros`` columns
+    vanish, so coincident, collinear and coplanar subsets are common and
+    zero leading columns force the fallback elimination."""
+    base = [(0,) * zeros + random_point(rng, n - zeros, -3, 3).coords for _ in range(rank)]
+    pts = []
+    while len(pts) < 6:
+        if len(pts) == 2 and rng.random() < 0.3:
+            # c on the line ab
+            al, be = rng.choice([(1, 0), (0, 1), (1, 1), (2, -3)])
+            vec = [al * x + be * y for x, y in zip(pts[0].coords, pts[1].coords)]
+        else:
+            coeffs = [rng.randint(-2, 2) for _ in base]
+            vec = [sum(k * v[i] for k, v in zip(coeffs, base)) for i in range(n + 1)]
+        if any(vec):
+            pts.append(HPoint(vec))
+    return pts
+
+
+class TestRankCertificates:
+    """span_dim, line_meet and the ratio chart agree with the Bareiss-only
+    references in value, error type and message, whichever of their
+    certificate and fallback routes runs."""
+
+    @staticmethod
+    def _agree(pts):
+        for k in (2, 3, 4):
+            assert span_dim(pts[:k]) == reference_span_dim(pts[:k])
+        assert line_meet(*pts[:4]) == reference_line_meet(*pts[:4])
+        assert _outcome(cross_ratio, *pts[:4]) == _outcome(reference_ratio, *pts[:4])
+        assert _outcome(multi_ratio, *pts) == _outcome(reference_ratio, *pts)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_seeded_configurations(self, n):
+        rng = random.Random(600 + n)
+        for rank in range(1, 5):
+            for zeros in range(min(3, n) + 1):
+                for _ in range(40):
+                    self._agree(_configuration(rng, n, rank, zeros))
+
+    def test_named_cases(self):
+        a, b, c, d = pt(1, 0, 0, 0), pt(0, 1, 0, 0), pt(0, 0, 1, 0), pt(0, 0, 0, 1)
+        ab = pt(1, 1, 0, 0)
+        cases = [
+            [a, a, a, a, a, a],  # coincident
+            [a, b, ab, pt(1, 2, 0, 0), pt(2, 1, 0, 0), pt(1, -1, 0, 0)],  # collinear
+            [a, b, ab, c, d, pt(1, 1, 1, 1)],  # c on line ab
+            [a, b, c, pt(1, 1, 1, 0), ab, pt(0, 1, 1, 0)],  # coplanar
+            [a, b, c, d, ab, pt(1, 1, 1, 1)],  # skew lines
+            [a, b, pt(1, 1, 0, 1), c, d, ab],  # skew lines, [abc] = 0 in columns 0..2
+            # zero columns 0..2: every certificate minor vanishes
+            [pt(0, 0, 0, 1, 0), pt(0, 0, 0, 1, 2), pt(0, 0, 0, 2, 1), pt(0, 0, 0, 0, 1), pt(0, 0, 0, 1, 1), pt(0, 0, 0, 1, -1)],
+        ]
+        for pts in cases:
+            self._agree(pts)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 9]), st.integers(1, 4), st.integers(0, 2**32))
+    def test_property(self, n, rank, seed):
+        rng = random.Random(seed)
+        for zeros in range(min(3, n) + 1):
+            self._agree(_configuration(rng, n, rank, zeros))
 
 
 class TestCentralProjection:

@@ -36,3 +36,17 @@ def test_instance_failure_fails_each_property_that_uses_it(monkeypatch):
         "symmetry/forward-P-backward-D-coupling": [label],
         "symmetry/backward-point-identity": [label],
     }
+
+
+def test_recurrence_net_is_built_once_per_seed(monkeypatch):
+    calls: list[tuple] = []
+    build = verify.construct.random_qnet
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(verify.construct, "random_qnet", counted)
+    results = verify.run_suites("recurrence", 2)
+    assert calls == [(3, 3, 3, 0), (3, 3, 3, 1)]
+    assert [(r.passed, r.failed) for r in results] == [(2, 0), (2, 0)]
