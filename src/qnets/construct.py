@@ -699,8 +699,13 @@ def double_degenerate_boundary(m: int, a: int, b: int, n: int, seed: int) -> Par
     """
     if m == 1:
         return _double_m1_boundary(a, b, n, seed)
-    base = random_bs_koenigs(a, b, n, seed)
-    out = PartialNet(base.domain, n)
+    return double_boundary_of(random_bs_koenigs(a, b, n, seed), m)
+
+
+def double_boundary_of(base: QNet, m: int) -> PartialNet:
+    """The width-(m-1) strips and the (m, m) point of a Koenigs net, the
+    boundary ``double_degenerate_boundary`` cuts for m >= 2."""
+    out = PartialNet(base.domain, base.ambient_dim)
     out.restricted_from(base, lambda s: s[0] <= m - 1 or s[1] <= m - 1 or s == (m, m))
     return out
 

@@ -34,7 +34,7 @@ from .errors import (
     GeometryError,
     NotBSKoenigsError,
 )
-from .linalg import bareiss, nullspace
+from .linalg import bareiss, cross3, det3, nullspace, primitive, reduce_row
 from .projective import (
     HPoint,
     Projector,
@@ -91,19 +91,23 @@ def staircase_point(
 ) -> HPoint:
     """A free lift choice: ``base`` plus a seeded random combination of the
     center's basis rows, redrawn until it extends the span of the points
-    chosen so far.  The accepted point's coordinates are appended to
-    ``chosen``."""
+    chosen so far.
+
+    ``chosen`` holds those points as fraction-free reduced rows with their
+    pivot columns, each row zero in the pivots of the rows before it; a
+    candidate extends the span exactly when its residual by them
+    (``linalg.reduce_row``) is nonzero, and that residual, made primitive,
+    is appended with its first nonzero column."""
     scale, steps = center.scaled_basis
-    ncols = len(base.coords)
     for _ in range(RETRY_BUDGET):
         vec = [scale * x for x in base.coords]
         for step in steps:
             lam = rng.randint(-9, 9)
             vec = [a + lam * b for a, b in zip(vec, step)]
-        if len(bareiss(chosen + [vec], ncols)[0]) == len(chosen) + 1:
-            point = HPoint(vec)
-            chosen.append(point.coords)
-            return point
+        residual = reduce_row(vec, [row for row, _ in chosen], [c for _, c in chosen])[0]
+        if any(residual):
+            chosen.append((primitive(residual), next(c for c, x in enumerate(residual) if x)))
+            return HPoint(vec)
     raise GeneralPositionError("no spanning lift choice at %s" % (site,))
 
 
@@ -151,28 +155,31 @@ def _forced_point(
 
     When the images span a plane, the l_k are 3x3 brackets of the images
     and ``point`` in a pivot chart of that plane (Cramer's rule), and there
-    is no such x unless ``point`` lies in the plane.  Otherwise the lifted
-    plane meets the center, and x is the meet of the line through ``point``
-    and the center with the lifted plane.
+    is no such x unless ``point`` lies in the plane.  The chart is columns
+    0, 1, 2 when the bracket of the images is nonzero there (the pivots
+    Bareiss would find), and otherwise the Bareiss pivots.  When the images
+    do not span a plane, the lifted plane meets the center, and x is the
+    meet of the line through ``point`` and the center with the lifted
+    plane.
     """
-    pivots = bareiss(list(images), len(point.coords))[0]
+    ncols = len(point.coords)
+    if ncols >= 3 and det3(*images):
+        pivots = [0, 1, 2]
+    else:
+        pivots = bareiss(list(images), ncols)[0]
     if len(pivots) != 3:
         pt = meet(join([point, center]), join(plane))
         if pt.projective_dim != 0:
             raise GeometryError("lift meet at %s is not a single point" % (site,))
         return pt.point()
     a, b, c, q = ([v[k] for k in pivots] for v in (*images, point.coords))
-    n12, n20, n01 = _cross(b, c), _cross(c, a), _cross(a, b)
+    n12, n20, n01 = cross3(b, c), cross3(c, a), cross3(a, b)
     lam = [sum(x * y for x, y in zip(n, q)) for n in (n12, n20, n01)]
     det = sum(x * y for x, y in zip(n01, c))
     image = [sum(x * y for x, y in zip(lam, col)) for col in zip(*images)]
     if image != [det * x for x in point.coords]:
         raise GeometryError("lift meet at %s is not a single point" % (site,))
     return HPoint([sum(x * y for x, y in zip(lam, col)) for col in zip(*(u.coords for u in plane))])
-
-
-def _cross(a: list[int], b: list[int]) -> tuple[int, int, int]:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:

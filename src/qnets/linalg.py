@@ -14,6 +14,16 @@ The kernel works on rows of Python ``int``s.  Two eliminations cover it:
 Both choose the first nonzero entry as pivot, so every routine here is
 deterministic.  ``rref``, ``nullspace`` and ``det`` keep ``Fraction``
 results at the boundary: ``rref`` returns the unit-pivot form over Q.
+
+Closed form first.  Most eliminations in the kernel are joins of one to
+three points.  When k <= 3 rows have a nonzero leading k x k minor M
+(columns 0 .. k-1), ``echelon`` skips elimination: the rows of adj(M)
+times the input rows are det(M) times those of M^-1 times the input rows,
+which is the unit-pivot reduced form with pivots 0 .. k-1.  Scaling each
+of them to primitive integers with a positive pivot gives the canonical
+form, and the canonical form of a row space is unique, so the result is
+the one elimination would return.  Every other input (a zero leading
+minor, more rows) is eliminated as before.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ Matrix = tuple[Row, ...]
 IntRow = tuple[int, ...]
 
 ZERO = Fraction(0)
+_INT = frozenset((int,))
 
 
 def as_row(values: Iterable) -> Row:
@@ -40,14 +51,11 @@ def primitive(vec: Sequence) -> IntRow:
     Entries are read through ``numerator``/``denominator``; anything other
     than an ``int`` or ``Fraction`` goes through ``Fraction`` first.
     """
-    vals = [v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in vec]
-    den = 1
-    for v in vals:
-        if v.denominator != 1:
-            den = lcm(den, v.denominator)
-    if den == 1:
-        ints = [v.numerator for v in vals]
+    if _INT.issuperset(map(type, vec)):
+        ints = vec
     else:
+        vals = [v if type(v) is int or isinstance(v, Fraction) else Fraction(v) for v in vec]
+        den = lcm(*(v.denominator for v in vals))
         ints = [v.numerator * (den // v.denominator) for v in vals]
     g = gcd(*ints)
     if g == 0:
@@ -72,8 +80,14 @@ def echelon(
     Returns the nonzero rows of the reduced row echelon form, each scaled to
     primitive integers with positive pivot, and the pivot columns.  Two row
     lists span the same space exactly when their echelon forms are equal.
-    Elimination is fraction-free with per-row content reduction.
+    Up to three rows with a nonzero leading minor take the closed form of
+    ``_adjugate_echelon``; otherwise elimination is fraction-free with
+    per-row content reduction.
     """
+    if 0 < len(rows) <= min(3, ncols):
+        closed = _adjugate_echelon(rows)
+        if closed is not None:
+            return closed
     work = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
@@ -107,6 +121,78 @@ def echelon(
             g = -g
         out.append(tuple(row) if g == 1 else tuple(v // g for v in row))
     return tuple(out), tuple(pivots)
+
+
+def _adjugate_echelon(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ...]] | None:
+    """The canonical echelon form of k <= 3 rows as adj(M) times the rows,
+    M their leading k x k block, or None when det(M) = 0.
+
+    Row i of adj(M) is the vector l with l . (column c of M) = det(M) for
+    c = i and 0 otherwise: a 2D perpendicular or a 3D cross product of the
+    other columns.
+    """
+    k = len(rows)
+    if k == 1:
+        det = rows[0][0]
+        if not det:
+            return None
+        combos = [rows[0]]
+    elif k == 2:
+        r0, r1 = rows
+        a, b, c, d = r0[0], r0[1], r1[0], r1[1]
+        det = a * d - b * c
+        if not det:
+            return None
+        combos = [[d * x - b * y for x, y in zip(r0, r1)], [a * y - c * x for x, y in zip(r0, r1)]]
+    else:
+        r0, r1, r2 = rows
+        c0, c1, c2 = zip(r0[:3], r1[:3], r2[:3])
+        l0 = cross3(c1, c2)
+        det = l0[0] * c0[0] + l0[1] * c0[1] + l0[2] * c0[2]
+        if not det:
+            return None
+        combos = [
+            [p * x + q * y + r * z for x, y, z in zip(r0, r1, r2)]
+            for p, q, r in (l0, cross3(c2, c0), cross3(c0, c1))
+        ]
+    out = []
+    for row in combos:
+        g = gcd(*row)
+        if det < 0:
+            g = -g
+        out.append(tuple(row) if g == 1 else tuple(v // g for v in row))
+    return tuple(out), tuple(range(k))
+
+
+def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    """The 3x3 minor [abc] of three vectors in columns 0, 1, 2."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def cross3(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    """The cross product of the first three coordinates of a and b."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def reduce_row(
+    vec: Sequence[int], rows: Sequence[Sequence[int]], pivots: Sequence[int]
+) -> tuple[Sequence[int], int]:
+    """Fraction-free reduction of an integer vector by rows each zero in
+    the pivot columns of the rows before it: returns (m * vec - w, m) with
+    w in their span and m != 0, the residual zero in every pivot column and
+    zero exactly when vec lies in the span."""
+    v, m = vec, 1
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f != 0:
+            p = row[c]
+            v = [p * a - f * b for a, b in zip(v, row)]
+            m *= p
+    return v, m
 
 
 def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -46,11 +47,13 @@ from .linalg import (
     Matrix,
     as_row,
     bareiss,
+    det3,
     dot,
     echelon,
     mat_vec,
     nullspace,
     primitive,
+    reduce_row,
     unit_rows,
 )
 
@@ -195,14 +198,7 @@ class Subspace:
         """Fraction-free reduction of an integer vector by the echelon rows:
         returns (m * vec - w, m) with w in the subspace and m > 0, the
         residual being zero exactly when vec lies in the subspace."""
-        v, m = vec, 1
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f != 0:
-                p = row[c]
-                v = [p * a - f * b for a, b in zip(v, row)]
-                m *= p
-        return v, m
+        return reduce_row(vec, self.rows, self.pivots)
 
     def _reduces_to_zero(self, vec: Sequence[int]) -> bool:
         return not any(self._residual(vec)[0])
@@ -283,13 +279,9 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, *echelon([row[ncols:] for row in work[rank:]], ncols))
 
 
-def _det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
-    """The 3x3 minor [abc] of three vectors in columns 0, 1, 2."""
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+def _same_space(coords: Sequence[IntRow], what: str) -> None:
+    if len(set(map(len, coords))) > 1:
+        raise DimensionMismatchError("%s of points in different ambient spaces" % what)
 
 
 def _in_plane(
@@ -303,7 +295,7 @@ def _in_plane(
     identity holds in columns 0, 1, 2 by construction, so only the later
     columns are tested.
     """
-    dbc, adc = _det3(d, b, c), _det3(a, d, c)
+    dbc, adc = det3(d, b, c), det3(a, d, c)
     for k in range(3, len(d)):
         if abc * d[k] != dbc * a[k] + adc * b[k] + abd * c[k]:
             return False
@@ -325,9 +317,10 @@ def line_meet(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> HPoint | None:
     must be distinct points.
     """
     p, q, r, t = a.coords, b.coords, c.coords, d.coords
+    _same_space((p, q, r, t), "meet of lines")
     abc = abd = 0
     if len(p) >= 3:
-        abc, abd = _det3(p, q, r), _det3(p, q, t)
+        abc, abd = det3(p, q, r), det3(p, q, t)
     if abc:
         if not _in_plane(p, q, r, t, abc, abd):
             return None
@@ -362,17 +355,18 @@ def span_dim(points: Sequence[HPoint]) -> int:
     columns the minor is taken in; without such a minor it is the Bareiss
     rank.
     """
-    if len(points) == 2:
-        return int(points[0].coords != points[1].coords)
-    if 3 <= len(points) <= 4 and len(points[0].coords) >= 3:
-        a, b, c = points[0].coords, points[1].coords, points[2].coords
-        abc = _det3(a, b, c)
+    coords = [p.coords for p in points]
+    _same_space(coords, "span")
+    if len(coords) == 2:
+        return int(coords[0] != coords[1])
+    if 3 <= len(coords) <= 4 and len(coords[0]) >= 3:
+        a, b, c = coords[:3]
+        abc = det3(a, b, c)
         if abc:
-            if len(points) == 3:
+            if len(coords) == 3:
                 return 2
-            d = points[3].coords
-            return 2 if _in_plane(a, b, c, d, abc, _det3(a, b, d)) else 3
-    return len(bareiss([p.coords for p in points], len(points[0].coords))[0]) - 1
+            return 2 if _in_plane(a, b, c, coords[3], abc, det3(a, b, coords[3])) else 3
+    return len(bareiss(coords, len(coords[0]))[0]) - 1
 
 
 def supplementary(a: Subspace, b: Subspace) -> bool:
@@ -396,24 +390,25 @@ def _chart(points: Sequence[HPoint], expect: int) -> list[tuple[int, int]]:
     line projects isomorphically, the 2x2 minors of its points differ by one
     common nonzero factor, which cancels in the cross- and multi-ratio.
     """
-    u, v = points[0].coords, points[1].coords
+    coords = [p.coords for p in points]
+    _same_space(coords, "ratio")
+    u, v = coords[0], coords[1]
     if len(u) >= 2:
         uv = u[0] * v[1] - u[1] * v[0]
         if uv:
-            for p in points[2:]:
-                w = p.coords
+            for w in coords[2:]:
                 wv, uw = w[0] * v[1] - w[1] * v[0], u[0] * w[1] - u[1] * w[0]
                 for k in range(2, len(w)):
                     if uv * w[k] != wv * u[k] + uw * v[k]:
                         raise GeometryError("points are not collinear")
-            return [p.coords[:2] for p in points]
-    pivots = bareiss([p.coords for p in points], len(points[0].coords))[0]
+            return [w[:2] for w in coords]
+    pivots = bareiss(list(coords), len(u))[0]
     if len(pivots) > 2:
         raise GeometryError("points are not collinear")
     if len(pivots) < 2:
         raise UndefinedCrossRatioError("all %d points coincide" % expect)
     c1, c2 = pivots
-    return [(p.coords[c1], p.coords[c2]) for p in points]
+    return [(w[c1], w[c2]) for w in coords]
 
 
 def _det2(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -490,7 +485,7 @@ class Projector:
 
     def apply(self, coords: Sequence[int]) -> list[int]:
         """The matrix times an integer vector (zero on the center)."""
-        return [sum(a * b for a, b in zip(row, coords)) for row in self.matrix]
+        return [sum(map(mul, row, coords)) for row in self.matrix]
 
     def __call__(self, p: HPoint) -> HPoint:
         if len(p.coords) != len(self.matrix):

@@ -55,20 +55,20 @@ def _run(result: PropertyResult, label: str, check) -> None:
 
 
 def _once(make):
-    """``make(seed)`` memoised for the life of the returned getter, a
+    """``make(key)`` memoised for the life of the returned getter, a
     QnetsError it raises included, so that an instance checked by several
     properties is built once and fails each of them with the same label."""
     built: dict = {}
 
-    def get(s: int):
-        if s not in built:
+    def get(key):
+        if key not in built:
             try:
-                built[s] = make(s)
+                built[key] = make(key)
             except QnetsError as exc:
-                built[s] = exc
-        if isinstance(built[s], QnetsError):
-            raise built[s]
-        return built[s]
+                built[key] = exc
+        if isinstance(built[key], QnetsError):
+            raise built[key]
+        return built[key]
 
     return get
 
@@ -118,7 +118,9 @@ def _is_backward_laplace(net: QNet, steps: int) -> bool:
     return degenerate_transform(net, -steps, "laplace") is not None
 
 
-def suite_termination(seeds: int, laplace_m2: Callable[[int], QNet]) -> list[PropertyResult]:
+def suite_termination(
+    seeds: int, laplace_m2: Callable[[int], QNet], koenigs: Callable[[tuple], QNet]
+) -> list[PropertyResult]:
     results = []
     cases = [
         ("termination/laplace-m1-backward-m2", lambda s: _is_backward_laplace(construct.bs_laplace_degenerate_m1(3, 3, 3, s), 2)),
@@ -126,8 +128,8 @@ def suite_termination(seeds: int, laplace_m2: Callable[[int], QNet]) -> list[Pro
         ("termination/laplace-m3-backward-m4", lambda s: _is_backward_laplace(construct.extend_laplace_degenerate(construct.laplace_degenerate_boundary(3, 4, 5, 3, s), 3), 4)),
         ("termination/goursat-m1-backward-m3", lambda s: _is_backward_laplace(construct.bs_goursat_net(1, 3, 4, s), 3)),
         ("termination/goursat-m2-backward-m4", lambda s: _is_backward_laplace(construct.bs_goursat_net(2, 4, 5, s), 4)),
-        ("termination/double-m2", lambda s: _double_ok(construct.construct_double_degenerate(construct.double_degenerate_boundary(2, 3, 3, 3, s), 2), 2)),
-        ("termination/double-m3", lambda s: _double_ok(construct.construct_double_degenerate(construct.double_degenerate_boundary(3, 4, 4, 3, s), 3), 3)),
+        ("termination/double-m2", lambda s: _double_ok(construct.construct_double_degenerate(construct.double_boundary_of(koenigs((3, 3, 3, s)), 2), 2), 2)),
+        ("termination/double-m3", lambda s: _double_ok(construct.construct_double_degenerate(construct.double_boundary_of(koenigs((4, 4, 3, s)), 3), 3), 3)),
     ]
     for name, check in cases:
         res = PropertyResult(name)
@@ -167,7 +169,9 @@ def _bottom_rows_agree(net: QNet, d_b: QNet | None) -> bool:
     return all(p_b[(i, pd.j_min)] == d_b[(i, pd.j_min)] for i in range(pd.i_min, pd.i_max + 1))
 
 
-def suite_symmetry(seeds: int, laplace_m2: Callable[[int], QNet]) -> list[PropertyResult]:
+def suite_symmetry(
+    seeds: int, laplace_m2: Callable[[int], QNet], koenigs: Callable[[tuple], QNet]
+) -> list[PropertyResult]:
     sym0 = PropertyResult("symmetry/invariants-m0")
     sym1 = PropertyResult("symmetry/invariants-m1")
     coupling = PropertyResult("symmetry/forward-P-backward-D-coupling")
@@ -181,8 +185,8 @@ def suite_symmetry(seeds: int, laplace_m2: Callable[[int], QNet]) -> list[Proper
         return net, degenerate_transform(diagonal_intersection_net(net), -2, "laplace")
 
     for s in range(seeds):
-        _run(sym0, "seed %d" % s, lambda s=s: invariant_symmetry_check(construct.random_bs_koenigs(3, 3, 3, s), 0))
-        _run(sym1, "seed %d" % s, lambda s=s: invariant_symmetry_check(construct.random_bs_koenigs(4, 4, 3, s), 1))
+        _run(sym0, "seed %d" % s, lambda s=s: invariant_symmetry_check(koenigs((3, 3, 3, s)), 0))
+        _run(sym1, "seed %d" % s, lambda s=s: invariant_symmetry_check(koenigs((4, 4, 3, s)), 1))
         _run(coupling, "seed %d" % s, lambda s=s: coupled(s)[1] is not None)
         _run(pointid, "seed %d" % s, lambda s=s: _bottom_rows_agree(*coupled(s)))
     return [sym0, sym1, coupling, pointid]
@@ -235,10 +239,12 @@ SUITES = {
 def run_suites(which: str, seeds: int) -> list[PropertyResult]:
     if which != "all" and which not in SUITES:
         raise ValueError("unknown suite %r" % which)
-    # The termination and symmetry suites both check the m=2 instance: one
-    # getter per call builds it once per seed for both.
+    # The termination and symmetry suites both check the m=2 instance and
+    # the random BS-Koenigs nets of shapes (3, 3, 3) and (4, 4, 3): getters
+    # made per call build each of them once per seed for both.
     laplace_m2 = _once(_laplace_m2)
-    shared = {"termination": (laplace_m2,), "symmetry": (laplace_m2,)}
+    koenigs = _once(lambda key: construct.random_bs_koenigs(*key))
+    shared = {"termination": (laplace_m2, koenigs), "symmetry": (laplace_m2, koenigs)}
     out: list[PropertyResult] = []
     for name in SUITES if which == "all" else (which,):
         out.extend(SUITES[name](seeds, *shared.get(name, ())))

@@ -3,14 +3,16 @@
 oracle_pivots and oracle_rank are the independent elimination oracle:
 fraction-free Bareiss over integers, sharing no code with the package's
 RREF.  The reference_* functions answer the small rank questions of
-``qnets.projective`` from that oracle alone, without certificate minors.
+``qnets.projective`` from that oracle alone, without certificate minors,
+and ``reference_echelon`` gives the canonical echelon form by elimination
+alone, without the closed forms of ``qnets.linalg.echelon``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from qnets import INFINITY, GeometryError, HPoint, UndefinedCrossRatioError
 
@@ -50,6 +52,35 @@ def oracle_pivots(rows) -> list[int]:
         if r == nrows:
             break
     return pivots
+
+
+def reference_echelon(rows, ncols: int):
+    """Canonical echelon form by Gauss-Jordan elimination over Q, pivoting
+    on the first nonzero entry of the first ``ncols`` columns (later
+    columns are carried along): the unit-pivot rows, each scaled to
+    primitive integers, and their pivot columns."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((k for k in range(r, len(work)) if work[k][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        top = [x / work[r][c] for x in work[r]]
+        work[r] = top
+        for k in range(len(work)):
+            if k != r and work[k][c] != 0:
+                f = work[k][c]
+                work[k] = [x - f * y for x, y in zip(work[k], top)]
+        pivots.append(c)
+    out = []
+    for row in work[: len(pivots)]:
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints)
+        out.append(tuple(v // g for v in ints))
+    return tuple(out), tuple(pivots)
 
 
 def oracle_rank(rows) -> int:

@@ -297,3 +297,25 @@ class TestUniqueCompletionInvariance:
                 {s: transform_point(matrix, p) for s, p in boundary.points.items()},
             )
             assert complete(mapped, m) == transform_net(matrix, complete(boundary, m))
+
+
+class TestRareGeneratorFailures:
+    """Two genuine degenerate unique completions that the ``generate``
+    benchmark workload meets among seeds 0-20, rounds 0-559 (seed 9 round
+    378 and seed 14 round 456), pinned by error type, message and site, so
+    that a change in rare-failure behaviour shows up here."""
+
+    @pytest.mark.parametrize(
+        "complete, make_boundary, shape, seed, site",
+        [
+            (extend_laplace_degenerate, laplace_degenerate_boundary, (2, 3, 4, 3), 1784978974, (3, 2)),
+            (construct_double_degenerate, double_degenerate_boundary, (2, 3, 3, 3), 630637764, (2, 3)),
+        ],
+    )
+    def test_degenerate_completion(self, complete, make_boundary, shape, seed, site):
+        boundary = make_boundary(*shape, seed)
+        with pytest.raises(ConstructionError) as info:
+            complete(boundary, shape[0])
+        assert type(info.value) is ConstructionError
+        assert str(info.value) == "completion at %s is degenerate" % (site,)
+        assert info.value.site == site

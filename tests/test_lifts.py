@@ -29,9 +29,10 @@ from qnets import (
     singular_point_checks,
 )
 from qnets.construct import construct_double_degenerate, double_degenerate_boundary
-from qnets.errors import DimensionMismatchError
+from qnets.errors import DimensionMismatchError, GeneralPositionError
 from qnets.construct import laplace_degenerate_boundary
 from qnets.lifts import (
+    RETRY_BUDGET,
     embed_net,
     has_koenigs_hyperplanes,
     hyperplane_pair_quadric,
@@ -40,7 +41,7 @@ from qnets.lifts import (
     staircase_point,
 )
 from qnets.projective import Projector
-from qnets.linalg import nullspace
+from qnets.linalg import bareiss, nullspace
 from qnets.qnet import GridDomain, QNet, TerminationReport, net_span
 from helpers import random_point
 
@@ -177,6 +178,51 @@ class TestForcedLift:
         points[(2, 1)] = HPoint((1, 0, 1, 0))
         got, want = _both_lifts(points, domain, center, screen, 0)
         assert got == want == (GeometryError, "lift meet at (2, 1) is not a single point")
+
+
+def _bareiss_staircase(site, base, center, chosen, rng, attempts):
+    """Reference free lift choice: the same candidates, accepted when the
+    Bareiss rank of the points chosen so far and the candidate grows."""
+    scale, steps = center.scaled_basis
+    for _ in range(RETRY_BUDGET):
+        attempts.append(site)
+        vec = [scale * x for x in base.coords]
+        for step in steps:
+            lam = rng.randint(-9, 9)
+            vec = [a + lam * b for a, b in zip(vec, step)]
+        if len(bareiss(chosen + [vec], len(vec))[0]) == len(chosen) + 1:
+            point = HPoint(vec)
+            chosen.append(point.coords)
+            return point
+    raise GeneralPositionError("no spanning lift choice at %s" % (site,))
+
+
+class TestStaircase:
+    def test_accepts_and_rejects_like_bareiss(self):
+        """Bases drawn from few points so that candidates often fall in the
+        span chosen so far: a center point is redrawn when every weight is
+        0, and a full span rejects every candidate."""
+        attempts: list = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.choice([2, 3, 5])
+            center = join([random_point(rng, n) for _ in range(rng.randint(1, 2))])
+            pool = [random_point(rng, n) for _ in range(3)]
+            bases = [rng.choice(pool) for _ in range(n + 3)]
+            outcomes = []
+            for run in (staircase_point, lambda *args: _bareiss_staircase(*args, attempts)):
+                draws, chosen, got = random.Random(seed), [], []
+                for k, base in enumerate(bases):
+                    try:
+                        got.append(run((k, seed), base, center, chosen, draws))
+                    except GeneralPositionError as exc:
+                        got.append(str(exc))
+                outcomes.append((got, draws.getstate()))
+            assert outcomes[0] == outcomes[1]
+        # Both kinds of rejection occurred: a redraw before an acceptance,
+        # and a full budget spent.
+        assert len(attempts) > len(set(attempts))
+        assert any(attempts.count(site) == RETRY_BUDGET for site in set(attempts))
 
 
 class TestGoursatLift:

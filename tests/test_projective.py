@@ -269,6 +269,35 @@ class TestRankCertificates:
             self._agree(_configuration(rng, n, rank, zeros))
 
 
+class TestMixedAmbientSpaces:
+    """The rank predicates raise DimensionMismatchError, as join does, when
+    their points live in projective spaces of different dimensions, on the
+    certificate route and on the fallback route alike."""
+
+    def test_span_dim(self):
+        a, b, c = pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)
+        for pts in ([pt(1, 0), a], [a, pt(1, 0)], [a, b, pt(0, 0, 1, 0)], [a, b, c, pt(1, 1, 1, 1)], [pt(0, 0, 1), pt(0, 0, 2, 1), c]):
+            with pytest.raises(DimensionMismatchError):
+                span_dim(pts)
+
+    def test_line_meet(self):
+        a, b, c = pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)
+        for pts in ([a, b, pt(1, 1, 0, 0), pt(0, 0, 1, 0)], [a, b, c, pt(1, 1, 1, 1)], [pt(1, 0), pt(0, 1), a, b]):
+            with pytest.raises(DimensionMismatchError):
+                line_meet(*pts)
+
+    def test_cross_ratio(self):
+        for pts in ([pt(1, 0), pt(0, 1), pt(1, 1, 0), pt(1, 2, 0)], [pt(0, 0, 1), pt(0, 1, 1), pt(0, 1), pt(0, 1, 2)]):
+            with pytest.raises(DimensionMismatchError):
+                cross_ratio(*pts)
+
+    def test_multi_ratio(self):
+        line = [pt(1, k) for k in range(5)]
+        for pts in (line + [pt(1, 5, 0)], [pt(1, 5, 0)] + line):
+            with pytest.raises(DimensionMismatchError):
+                multi_ratio(*pts)
+
+
 class TestCentralProjection:
     def test_reference_projection(self):
         center = Subspace.from_points([pt(0, 0, 0, 1)])
