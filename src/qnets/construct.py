@@ -28,11 +28,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping
 
 from .errors import ConstructionError, GeneralPositionError, GeometryError
 from .invariants import is_bs_koenigs
 from .lifts import RETRY_BUDGET, lift_partial, sample_supplementary
+from .linalg import bareiss, reduce_row
 from .projective import (
     HPoint,
     INFINITY,
@@ -336,18 +338,41 @@ class _RejectChoice(Exception):
 def _bs_line(ctx: _LiftContext, i: int, j: int) -> Subspace:
     """Admissible line for the top-right corner of the 3x3 window ending
     at (i,j): meet of the lifted face plane with the 3-space joined by the
-    window's even-parity known points."""
+    window's even-parity known points.
+
+    The plane is spanned by a = (i-1, j-1), which lies in the 3-space too,
+    and b, c.  With the 3-space's rows forward-eliminated, the residuals
+    r_b = m_b b - w_b and r_c = m_c c - w_c are zero in its pivot columns,
+    so beta b + gamma c lies in the 3-space exactly when
+    (beta / m_b) r_b + (gamma / m_c) r_c = 0.  The meet is the line through
+    a and that point when r_b and r_c are dependent and not both zero;
+    otherwise it is the point a (independent residuals) or the whole
+    plane (both zero).
+    """
     up = ctx.up
-    e_plane = join([up[(i - 1, j - 1)], up[(i, j - 1)], up[(i - 1, j)]])
-    if e_plane.projective_dim != 2:
+    a, b, c = up[(i - 1, j - 1)], up[(i, j - 1)], up[(i - 1, j)]
+    if span_dim([a, b, c]) != 2:
         raise ConstructionError("degenerate face plane at %s" % ((i, j),), (i, j))
-    f_space = join([up[(i - 2, j - 2)], up[(i - 1, j - 1)], up[(i, j - 2)], up[(i - 2, j)]])
-    if f_space.projective_dim != 3:
+    f_rows = [up[(i - 2, j - 2)].coords, a.coords, up[(i, j - 2)].coords, up[(i - 2, j)].coords]
+    pivots = bareiss(f_rows, len(a.coords))[0]
+    if len(pivots) != 4:
         raise ConstructionError("degenerate diagonal 3-space at %s" % ((i, j),), (i, j))
-    line = meet(e_plane, f_space)
-    if line.projective_dim != 1:
+    rb, mb = reduce_row(b.coords, f_rows, pivots)
+    rc, mc = reduce_row(c.coords, f_rows, pivots)
+    k = next((k for k, x in enumerate(rb) if x), None)
+    if k is None:
+        point = None if not any(rc) else b
+    elif not any(rc):
+        point = c
+    elif all(rc[k] * x == rb[k] * y for x, y in zip(rb, rc)):
+        beta, gamma = rc[k] * mb, -rb[k] * mc
+        g = gcd(beta, gamma)
+        point = HPoint([beta // g * x + gamma // g * y for x, y in zip(b.coords, c.coords)])
+    else:
+        point = None
+    if point is None:
         raise ConstructionError("admissible set at %s is not a line" % ((i, j),), (i, j))
-    return line
+    return join([a, point])
 
 
 def _line_point(line: Subspace, t) -> HPoint:

@@ -6,6 +6,8 @@ RREF.  The reference_* functions answer the small rank questions of
 ``qnets.projective`` from that oracle alone, without certificate minors,
 and ``reference_echelon`` gives the canonical echelon form by elimination
 alone, without the closed forms of ``qnets.linalg.echelon``.
+``reference_bs_line`` is the admissible line of ``construct._bs_line`` as
+the meet of the joined face plane and 3-space.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from qnets import INFINITY, GeometryError, HPoint, UndefinedCrossRatioError
+from qnets import (
+    INFINITY,
+    ConstructionError,
+    GeometryError,
+    HPoint,
+    UndefinedCrossRatioError,
+    join,
+    meet,
+)
 
 
 def oracle_pivots(rows) -> list[int]:
@@ -185,3 +195,21 @@ def reference_ratio(*points):
             )
         return INFINITY
     return Fraction(num, den)
+
+
+def reference_bs_line(up, i: int, j: int):
+    """The admissible line of the window ending at (i, j) of lifted points
+    ``up``: the meet of the face plane with the 3-space of the window's
+    even-parity points, both joined, with the errors of
+    ``construct._bs_line``."""
+    site = (i, j)
+    plane = join([up[(i - 1, j - 1)], up[(i, j - 1)], up[(i - 1, j)]])
+    if plane.projective_dim != 2:
+        raise ConstructionError("degenerate face plane at %s" % (site,), site)
+    space = join([up[(i - 2, j - 2)], up[(i - 1, j - 1)], up[(i, j - 2)], up[(i - 2, j)]])
+    if space.projective_dim != 3:
+        raise ConstructionError("degenerate diagonal 3-space at %s" % (site,), site)
+    line = meet(plane, space)
+    if line.projective_dim != 1:
+        raise ConstructionError("admissible set at %s is not a line" % (site,), site)
+    return line

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +40,7 @@ from qnets.construct import validate_boundary
 from qnets.projective import transform_point
 from qnets.qnet import TerminationReport, transform_net
 
-from helpers import random_invertible
+from helpers import random_invertible, reference_bs_line
 
 F = Fraction
 
@@ -127,6 +128,79 @@ class TestExtendBSKoenigs:
             net = random_bs_koenigs(3, 3, 3, seed)
             assert is_bs_koenigs(net)
             assert validate_qnet(net) == []
+
+
+def _bs_window(kind: str, seed: int, bits: int):
+    """Lifted points of the 3x3 window ending at (2, 2) in RP^9: the face
+    plane a = (1, 1), b = (2, 1), c = (1, 2) and the 3-space of a and
+    (0, 0), (2, 0), (0, 2), with b and c placed for the case ``kind``."""
+    rng = random.Random(seed)
+
+    def rand():
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(10)]
+
+    def comb(*vecs):
+        coeffs = [rng.randint(1, 9) for _ in vecs]
+        return [sum(f * v[k] for f, v in zip(coeffs, vecs)) for k in range(10)]
+
+    a, v0, v2, v3 = rand(), rand(), rand(), rand()
+    b, c = rand(), rand()
+    if kind == "line":
+        c = [x + 3 * y for x, y in zip(comb(v0, a, v2, v3), b)]
+    elif kind == "b_in_space":
+        b = comb(v0, a, v2, v3)
+    elif kind == "c_in_space":
+        c = comb(v0, a, v2, v3)
+    elif kind == "plane_in_space":
+        b, c = comb(v0, a, v2, v3), comb(v0, a, v2, v3)
+    elif kind == "flat_plane":
+        c = [2 * x - 5 * y for x, y in zip(a, b)]
+    elif kind == "flat_space":
+        v3 = [x + y for x, y in zip(v0, a)]
+    pts = {(1, 1): a, (2, 1): b, (1, 2): c, (0, 0): v0, (2, 0): v2, (0, 2): v3}
+    return {s: HPoint(v) for s, v in pts.items()}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConstructionError as exc:
+        return (str(exc), exc.site)
+
+
+class TestAdmissibleLine:
+    """``construct._bs_line`` reduces the face plane by the forward-eliminated
+    3-space instead of meeting two joined subspaces; its line and its
+    errors must equal the meet of the joins."""
+
+    KINDS = ("line", "b_in_space", "c_in_space", "plane_in_space", "point", "flat_plane", "flat_space")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bits", [3, 110])
+    def test_matches_meet_of_joins(self, kind, bits):
+        for seed in range(12):
+            up = _bs_window(kind, seed, bits)
+            got = _outcome(construct._bs_line, SimpleNamespace(up=up), 2, 2)
+            assert got == _outcome(reference_bs_line, up, 2, 2)
+            if kind in ("line", "b_in_space", "c_in_space"):
+                assert got.projective_dim == 1 and got.contains_point(up[(1, 1)])
+            else:
+                assert isinstance(got, tuple)
+
+    def test_extension_windows_match_meet_of_joins(self, monkeypatch):
+        seen = []
+
+        def checked(ctx, i, j):
+            line = _outcome(bs_line, ctx, i, j)
+            assert line == _outcome(reference_bs_line, dict(ctx.up), i, j)
+            seen.append((i, j))
+            return bs_line(ctx, i, j)
+
+        bs_line = construct._bs_line
+        monkeypatch.setattr(construct, "_bs_line", checked)
+        random_bs_koenigs(4, 5, 3, 827307999)
+        extend_laplace_degenerate(laplace_degenerate_boundary(3, 4, 5, 3, 0), 3)
+        assert len(seen) > 20
 
 
 class TestLaplaceDegenerateExtension:
