@@ -1,6 +1,7 @@
 """Golden outputs: documents written by the generators, one Laplace step
-each way, an invariant table and an extensive lift, compared byte for byte
-with fixtures under ``tests/golden``.
+each way, invariant tables, the defect lists of a degenerating sequence,
+a diagonal net and an extensive lift, compared byte for byte with fixtures
+under ``tests/golden``.
 
 Every seeded construction draws random combinations of subspace basis rows
 and canonical point coordinates, so any change to the kernel's canonical
@@ -21,7 +22,13 @@ from qnets import construct
 from qnets.invariants import laplace_invariants
 from qnets.lifts import embed_and_lift
 from qnets.netfile import invariants_to_csv, net_to_dict
-from qnets.qnet import TerminationReport, laplace_iterate
+from qnets.qnet import (
+    TerminationReport,
+    check_nondegenerate,
+    diagonal_intersection_net,
+    laplace_iterate,
+    validate_qnet,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 1)
@@ -71,6 +78,29 @@ def _invariants(seed: int) -> str:
     return invariants_to_csv(laplace_invariants(construct.random_qnet(4, 4, 3, seed)))
 
 
+def _koenigs_invariants(seed: int) -> str:
+    return invariants_to_csv(laplace_invariants(construct.random_bs_koenigs(4, 4, 3, seed)))
+
+
+def _defects(seed: int) -> str:
+    """``check_nondegenerate`` and ``validate_qnet`` of every forward layer
+    of the m=2 unique completion, down to its Laplace-degenerate layer 2,
+    whose coincident points give edge and triple defects."""
+    cur = construct.extend_laplace_degenerate(construct.laplace_degenerate_boundary(2, 3, 4, 3, seed), 2)
+    docs = {}
+    for k in range(3):
+        docs[str(k)] = {"nondegenerate": check_nondegenerate(cur), "nonplanar": validate_qnet(cur)}
+        if k < 2:
+            cur = laplace_iterate(cur, 1)
+            assert not isinstance(cur, TerminationReport)
+    return json.dumps(docs, indent=1, sort_keys=True) + "\n"
+
+
+def _diagonal() -> str:
+    net = diagonal_intersection_net(construct.random_bs_koenigs(3, 3, 3, 0))
+    return json.dumps(net_to_dict(net), indent=1, sort_keys=True) + "\n"
+
+
 def _lift(seed: int) -> str:
     result = embed_and_lift(construct.random_bs_koenigs(2, 3, 3, seed), seed)
     doc = {
@@ -86,6 +116,9 @@ for _s in SEEDS:
     CASES["laplace.random_qnet_4_4_3.s%d.json" % _s] = lambda s=_s: _laplace(s)
     CASES["invariants.random_qnet_4_4_3.s%d.csv" % _s] = lambda s=_s: _invariants(s)
     CASES["lift.random_bs_koenigs_2_3_3.s%d.json" % _s] = lambda s=_s: _lift(s)
+    CASES["invariants.random_bs_koenigs_4_4_3.s%d.csv" % _s] = lambda s=_s: _koenigs_invariants(s)
+    CASES["defects.extend_laplace_degenerate_m2.s%d.json" % _s] = lambda s=_s: _defects(s)
+CASES["diagonal.random_bs_koenigs_3_3_3.s0.json"] = _diagonal
 
 
 @pytest.mark.parametrize("fixture", sorted(CASES))
