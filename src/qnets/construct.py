@@ -28,23 +28,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Callable, Mapping
 
 from .errors import ConstructionError, GeneralPositionError, GeometryError
 from .invariants import is_bs_koenigs
-from .lifts import RETRY_BUDGET, lift_partial, sample_supplementary
+from .lifts import RETRY_BUDGET, _sampled_projector, lift_partial
 from .linalg import bareiss, reduce_row
 from .projective import (
     HPoint,
     INFINITY,
-    Projector,
     Subspace,
     join,
     line_meet,
     meet,
     span_dim,
-    supplementary,
 )
 from .qnet import (
     Direction,
@@ -52,8 +51,10 @@ from .qnet import (
     QNet,
     Site,
     TerminationReport,
+    _brackets,
     _face_defects,
     _face_transform_point,
+    _spans_plane,
     check_nondegenerate,
     degenerate_transform,
     face_sites,
@@ -113,13 +114,16 @@ def _in_plane_point(rng: random.Random, p1: HPoint, p2: HPoint, p3: HPoint) -> H
 
 
 def _fill_ok(points: Mapping[Site, HPoint], domain: GridDomain, site: Site, cand: HPoint) -> bool:
-    """Non-degeneracy of every edge and face triple completed by `cand`."""
+    """Non-degeneracy of every edge and face triple completed by `cand`:
+    no defect of ``_face_defects`` involves the site."""
     i, j = site
     for face in ((i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)):
-        corners = {s: points[s] for s in face_sites(face) if s in points and domain.contains(s)}
-        if corners:
-            corners[site] = cand
-            for _ in _face_defects(corners, face, site):
+        others = [s for s in face_sites(face) if s != site and s in points and domain.contains(s)]
+        for s in others:
+            if (s[0] == i or s[1] == j) and points[s] == cand:
+                return False
+        for s, t in combinations(others, 2):
+            if not _spans_plane(points[s], points[t], cand):
                 return False
     return True
 
@@ -293,33 +297,33 @@ class _LiftContext:
         self.down: dict[Site, HPoint] = dict(boundary.points)
         pad = (0,) * (big - self.n)
         embedded = {s: HPoint(p.coords + pad) for s, p in self.down.items()}
-        self.screen = join(list(embedded.values()))
-        self.center = sample_supplementary(self.screen, _LIFT_SEED)
-        self.projector = Projector(self.center, self.screen)
+        # Zero columns leave the canonical echelon form of the join as it is.
+        down = join(list(self.down.values()))
+        screen = Subspace(down.ambient_dim + len(pad), tuple(r + pad for r in down.rows), down.pivots)
+        self.projector = _sampled_projector(screen, _LIFT_SEED)
         try:
             self.up = lift_partial(embedded, dom, self.projector, _LIFT_SEED)
         except GeometryError as exc:
             raise ConstructionError(str(exc)) from exc
 
-    def project(self, up_pt: HPoint) -> HPoint:
-        try:
-            coords = self.projector(up_pt).coords
-        except GeometryError as exc:
-            raise ConstructionError("lift point has no projection") from exc
-        if any(c != 0 for c in coords[self.n + 1 :]):
-            raise ConstructionError("projected point leaves the embedded space")
-        return HPoint(coords[: self.n + 1])
-
     def add(self, site: Site, up_pt: HPoint, strict: bool = True) -> HPoint:
         """Register a new lifted point; returns its downstairs projection.
 
-        With strict=True a non-degeneracy violation raises (unique
-        completions cannot retry); otherwise the caller handles rejection.
+        With strict=True a point of the center or a non-degeneracy
+        violation raises (unique completions cannot retry); otherwise the
+        caller handles rejection.  Lifted points project to their points
+        downstairs, and projecting never raises rank, so the test
+        downstairs covers the lift too.
         """
-        down = self.project(up_pt)
-        if not _fill_ok(self.down, self.domain, site, down) or not _fill_ok(
-            self.up, self.domain, site, up_pt
-        ):
+        image = self.projector.apply(up_pt.coords)
+        if not any(image):
+            if strict:
+                raise ConstructionError("lift point has no projection")
+            raise _RejectChoice()
+        if any(image[self.n + 1 :]):
+            raise ConstructionError("projected point leaves the embedded space")
+        down = HPoint(image[: self.n + 1])
+        if not _fill_ok(self.down, self.domain, site, down):
             if strict:
                 raise ConstructionError("completion at %s is degenerate" % (site,), site)
             raise _RejectChoice()
@@ -395,11 +399,15 @@ def validate_boundary(boundary: PartialNet) -> None:
     subwindow of the data."""
     pts = boundary.points
     dom = boundary.domain
+    tables: dict = {}
     for face in dom.faces():
         corners = [pts[s] for s in face_sites(face) if s in pts]
-        if len(corners) == 4 and span_dim(corners) > 2:
-            raise ConstructionError("boundary face %s is not planar" % (face,), face)
-        for defect in _face_defects(pts, face):
+        table = None
+        if len(corners) == 4:
+            table = _brackets(pts, face, tables)
+            if table is None and span_dim(corners) > 2:
+                raise ConstructionError("boundary face %s is not planar" % (face,), face)
+        for defect in _face_defects(pts, face, table=table):
             if defect[0] == "edge":
                 raise ConstructionError("boundary edge %s-%s collapses" % defect[1:], defect[1])
             triple = defect[2]
@@ -413,6 +421,7 @@ def validate_boundary(boundary: PartialNet) -> None:
                     boundary.ambient_dim,
                     {s: pts[s] for s in window},
                 )
+                sub._memo["brackets"] = tables  # its faces are faces of the data
                 if not is_bs_koenigs(sub):
                     raise ConstructionError(
                         "boundary window at (%d,%d) violates the Koenigs condition" % (p, q),
@@ -451,8 +460,6 @@ def extend_bs_koenigs(
             for _ in range(RETRY_BUDGET):
                 t = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
                 cand = _line_point(line, t)
-                if ctx.center.contains_point(cand):
-                    continue
                 try:
                     ctx.add((i, j), cand, strict=False)
                     break
@@ -677,7 +684,7 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
             raise ConstructionError("degenerate constancy line at %s" % ((i, 1),), (i, 1))
         for _ in range(RETRY_BUDGET):
             cand = _line_point(line, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-            if ctx.center.contains_point(cand) or cand == z:
+            if cand == z:
                 continue
             try:
                 ctx.add((i, 1), cand, strict=False)
@@ -813,10 +820,8 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
     for s in lifted.domain.sites():
         if center.contains_point(lifted[s]):
             raise ConstructionError("net point falls into the projection center")
-    screen = sample_supplementary(center, rng.randrange(2**30))
-    if not supplementary(center, screen):
-        raise ConstructionError("projection screen is not supplementary")
-    project = Projector(center, screen)
+    project = _sampled_projector(center, rng.randrange(2**30), onto_span=False)
+    screen = project.screen
     pts = {s: HPoint(screen.point_coords(project(lifted[s]))) for s in lifted.domain.sites()}
     net = QNet(lifted.domain, a + m, pts)
     if check_nondegenerate(net):

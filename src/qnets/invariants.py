@@ -41,6 +41,7 @@ from .qnet import (
     QNet,
     Site,
     TerminationReport,
+    _net_brackets,
     diagonal_intersection_net,
     laplace_iterate,
     transform_points,
@@ -63,9 +64,22 @@ class InvariantField:
     k: dict[Site, Fraction] = field(default_factory=dict)
 
 
-def _ratio(edge: Site, kind: str, pts) -> Fraction:
+def _ratio(net: QNet, kind: str, edge: Site, other: Site, far: Site, points) -> Fraction:
+    """cr(P, points[edge], Q, points[other]), P = net[edge], Q = net[far].
+
+    With t, u the bracket tables of faces ``edge`` and ``other``, the
+    forward points are t[3] P + t[1] Q and u[2] P + u[0] Q, the backward
+    points -t[3] P + t[2] Q and u[1] P - u[0] Q, and cr(P, x1 P + y1 Q, Q,
+    x2 P + y2 Q) = y1 x2 / (x1 y2); ``cross_ratio`` without both tables."""
+    t, u = _net_brackets(net, edge), _net_brackets(net, other)
     try:
-        value = cross_ratio(*pts)
+        if t is None or u is None:
+            value = cross_ratio(net[edge], points[edge], net[far], points[other])
+        else:
+            num, den = t[1 if kind == "H" else 2] * u[2 if kind == "H" else 1], t[3] * u[0]
+            if not den and not num:
+                raise UndefinedCrossRatioError("cross-ratio of the form 0/0")
+            value = Fraction(num, den) if den else INFINITY
     except (GeometryError, UndefinedCrossRatioError) as exc:
         raise InvariantError("%s%s undefined: %s" % (kind, edge, exc), edge) from exc
     if value is INFINITY:
@@ -84,19 +98,11 @@ def laplace_invariants(net: QNet) -> InvariantField:
     for i in range(d.i_min + 1, d.i_max):
         for j in range(d.j_min, d.j_max):
             if (i, j) in fwd and (i - 1, j) in fwd:
-                out.h[(i, j)] = _ratio(
-                    (i, j),
-                    "H",
-                    (net[(i, j)], fwd[(i, j)], net[(i, j + 1)], fwd[(i - 1, j)]),
-                )
+                out.h[(i, j)] = _ratio(net, "H", (i, j), (i - 1, j), (i, j + 1), fwd)
     for i in range(d.i_min, d.i_max):
         for j in range(d.j_min + 1, d.j_max):
             if (i, j) in bwd and (i, j - 1) in bwd:
-                out.k[(i, j)] = _ratio(
-                    (i, j),
-                    "K",
-                    (net[(i, j)], bwd[(i, j)], net[(i + 1, j)], bwd[(i, j - 1)]),
-                )
+                out.k[(i, j)] = _ratio(net, "K", (i, j), (i, j - 1), (i + 1, j), bwd)
     return out
 
 

@@ -200,10 +200,15 @@ def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
         raise DimensionMismatchError("center has wrong ambient dimension")
     if not supplementary(center, screen):
         raise GeometryError("center is not supplementary to the net's span")
-    out = QNet(d, m, lift_partial(net.points(), d, Projector(center, screen), seed))
+    return _lift_through(net, Projector(center, screen), seed)
+
+
+def _lift_through(net: QNet, projector: Projector, seed: int) -> LiftResult:
+    d = net.domain
+    out = QNet(d, net.ambient_dim, lift_partial(net.points(), d, projector, seed))
     if not check_extensive(out):
         raise GeneralPositionError("lifted net failed the extensivity check")
-    return LiftResult(out, center, screen, seed)
+    return LiftResult(out, projector.center, projector.screen, seed)
 
 
 def embed_net(net: QNet, ambient_dim: int) -> QNet:
@@ -215,19 +220,29 @@ def embed_net(net: QNet, ambient_dim: int) -> QNet:
     return QNet(net.domain, ambient_dim, pts)
 
 
-def sample_supplementary(span: Subspace, seed: int) -> Subspace:
-    """Seeded random rational subspace supplementary to the given one."""
+def _sampled_projector(span: Subspace, seed: int, onto_span: bool = True) -> Projector:
+    """The ``Projector`` through the first seeded random supplement of
+    ``span`` onto it (through ``span`` onto the supplement when not
+    ``onto_span``): one builds exactly when the two are supplementary."""
     m = span.ambient_dim
     codim = m + 1 - len(span.rows)
-    if codim == 0:
-        return Subspace.empty(m)
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         rows = [[rng.randint(-9, 9) for _ in range(m + 1)] for _ in range(codim)]
         cand = Subspace.from_rows(rows, m)
-        if len(cand.rows) == codim and supplementary(cand, span):
-            return cand
+        if len(cand.rows) == codim:
+            try:
+                return Projector(cand, span) if onto_span else Projector(span, cand)
+            except GeometryError:
+                continue
     raise GeneralPositionError("could not sample a supplementary subspace")
+
+
+def sample_supplementary(span: Subspace, seed: int) -> Subspace:
+    """Seeded random rational subspace supplementary to the given one."""
+    if span.is_full:
+        return Subspace.empty(span.ambient_dim)
+    return _sampled_projector(span, seed).center
 
 
 def embed_and_lift(net: QNet, seed: int) -> LiftResult:
@@ -244,8 +259,10 @@ def embed_and_lift(net: QNet, seed: int) -> LiftResult:
             "a Sigma_{%d,%d} net joins at most %d dimensions" % (d.width_i, d.width_j, m)
         )
     embedded = embed_net(net, m)
-    center = sample_supplementary(net_span(embedded), seed ^ 0x5F5E5F)
-    return lift(embedded, center, seed)
+    screen = net_span(embedded)
+    if screen.is_full:
+        return LiftResult(embedded, Subspace.empty(m), screen, seed)
+    return _lift_through(embedded, _sampled_projector(screen, seed ^ 0x5F5E5F), seed)
 
 
 def koenigs_hyperplanes(net: QNet) -> HyperplanePair:

@@ -24,8 +24,8 @@ from typing import Union
 from .construct import PartialNet
 from .errors import GeneralPositionError, NetFileError
 from .invariants import InvariantField
-from .lifts import sample_supplementary
-from .projective import HPoint, Projector, Subspace
+from .lifts import _sampled_projector
+from .projective import HPoint, Subspace
 from .qnet import GridDomain, QNet
 
 
@@ -200,10 +200,9 @@ def _to_three_space(net: QNet, seed: int) -> dict:
         screen = Subspace.from_rows(rows, n)
         if screen.projective_dim != 3:
             continue
-        center = sample_supplementary(screen, rng.randrange(2**30))
-        if any(center.contains_point(net[s]) for s in net.domain.sites()):
+        project = _sampled_projector(screen, rng.randrange(2**30))
+        if any(project.center.contains_point(net[s]) for s in net.domain.sites()):
             continue
-        project = Projector(center, screen)
         return {s: screen.point_coords(project(net[s])) for s in net.domain.sites()}
     raise GeneralPositionError("could not sample a projection to three-space")
 

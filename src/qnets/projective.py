@@ -457,7 +457,7 @@ class Projector:
     product: the same point as (p v C) ^ E, and zero exactly on the center.
     """
 
-    __slots__ = ("center", "screen", "matrix")
+    __slots__ = ("center", "screen", "matrix", "_rows")
 
     def __init__(self, center: Subspace, screen: Subspace):
         if center.ambient_dim != screen.ambient_dim:
@@ -475,17 +475,18 @@ class Projector:
         # cols[r]: row r of scale * A^-1, in the columns of the screen rows.
         k = size + len(center.rows)
         cols = [[scale // row[r] * x for x in row[k:]] for r, row in enumerate(red)]
-        matrix = [
-            [sum(s[a] * x for s, x in zip(screen.rows, col)) for col in cols] for a in range(size)
-        ]
+        columns = zip(*screen.rows) if screen.rows else [()] * size
+        matrix = [[sum(map(mul, column, col)) for col in cols] for column in columns]
         content = gcd(*(x for row in matrix for x in row)) or 1
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "screen", screen)
         object.__setattr__(self, "matrix", tuple(tuple(x // content for x in row) for row in matrix))
+        # An all-zero row (a coordinate zero on the screen) is an empty sum.
+        object.__setattr__(self, "_rows", tuple(row if any(row) else () for row in self.matrix))
 
     def apply(self, coords: Sequence[int]) -> list[int]:
         """The matrix times an integer vector (zero on the center)."""
-        return [sum(map(mul, row, coords)) for row in self.matrix]
+        return [sum(map(mul, row, coords)) for row in self._rows]
 
     def __call__(self, p: HPoint) -> HPoint:
         if len(p.coords) != len(self.matrix):

@@ -6,6 +6,21 @@ edge-lines of each face, the backward transform the two horizontal ones;
 both shrink the window by one in each axis and keep the window origin, so
 the mutual-inverse identity  L- L+ P (i,j) = P(i+1,j+1)  holds literally
 on sites.
+
+Every face predicate reads one bracket table per face: with corners
+p0 = P(i,j), p1 = P(i+1,j), p2 = P(i,j+1), p3 = P(i+1,j+1) and [xyz] the
+3x3 minor of px, py, pz in columns 0, 1, 2, the identity  [123] p0 -
+[023] p1 + [013] p2 - [012] p3 = 0  holds in columns 0, 1, 2 and is a 4x4
+minor in each later one, so with a bracket nonzero it holds everywhere
+exactly when the face is planar (Cramer's rule), and columns 0, 1, 2 then
+chart the face plane.  There the forward point is [023] p1 + [012] p3,
+the backward point [013] p2 - [012] p3, the diagonal point [013] p2 -
+[023] p1 (what ``line_meet`` computes in that chart), a triple spans a
+plane exactly when its bracket is nonzero, and H and K are ratios of
+bracket products.  Canonical points do not depend on the scale of their
+vectors and ratios are exact, so outputs equal those of ``line_meet``,
+``span_dim`` and ``cross_ratio``, which still decide faces without a
+table (all brackets zero, fewer than three coordinates, or not planar).
 """
 
 from __future__ import annotations
@@ -15,6 +30,7 @@ from itertools import combinations
 from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import DimensionMismatchError, DegenerateIntersectionError, GeometryError
+from .linalg import det3
 from .projective import HPoint, Subspace, join, line_meet, meet, span_dim, transform_point
 
 Direction = Literal["forward", "backward"]
@@ -81,7 +97,8 @@ class QNet:
     reported on.
 
     ``_memo`` holds what ``_face_transforms`` and ``_laplace`` computed
-    from the points, per direction, for the life of the net.
+    from the points, per direction, and the bracket tables of the faces,
+    for the life of the net.
     """
 
     __slots__ = ("domain", "ambient_dim", "_points", "_memo")
@@ -96,7 +113,7 @@ class QNet:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_points", {s: points[s] for s in domain.sites()})
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", {"brackets": {}})
 
     def point(self, i: int, j: int) -> HPoint:
         return self._points[(i, j)]
@@ -173,33 +190,63 @@ def face_sites(face: Site) -> tuple[Site, Site, Site, Site]:
     return ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
 
 
+def _brackets(points: Mapping[Site, HPoint], face: Site, cache: dict) -> tuple | None:
+    """The bracket table ([012], [013], [023], [123]) of a face, or None
+    (see the module docstring), kept in ``cache`` by face."""
+    if face in cache:
+        return cache[face]
+    p0, p1, p2, p3 = (points[s].coords for s in face_sites(face))
+    table = None
+    if 3 <= len(p0) == len(p1) == len(p2) == len(p3):
+        b = det3(p0, p1, p2), det3(p0, p1, p3), det3(p0, p2, p3), det3(p1, p2, p3)
+        if any(b) and all(
+            b[3] * p0[k] - b[2] * p1[k] + b[1] * p2[k] == b[0] * p3[k] for k in range(3, len(p0))
+        ):
+            table = b
+    cache[face] = table
+    return table
+
+
+def _net_brackets(net: QNet, face: Site) -> tuple | None:
+    return _brackets(net._points, face, net._memo["brackets"])
+
+
+def _combine(u: int, p: HPoint, v: int, q: HPoint) -> HPoint | None:
+    x = [u * y + v * z for y, z in zip(p.coords, q.coords)]
+    return HPoint(x) if any(x) else None
+
+
 def validate_qnet(net: QNet) -> list[Site]:
     """Faces whose four points do not lie in a plane (empty list = Q-net)."""
     bad = []
     for face in net.domain.faces():
-        pts = [net[s] for s in face_sites(face)]
-        if span_dim(pts) > 2:
+        if _net_brackets(net, face) is None and span_dim([net[s] for s in face_sites(face)]) > 2:
             bad.append(face)
     return bad
 
 
+def _spans_plane(a: HPoint, b: HPoint, c: HPoint) -> bool:
+    p, q, r = a.coords, b.coords, c.coords
+    return bool(3 <= len(p) == len(q) == len(r) and det3(p, q, r)) or span_dim([a, b, c]) == 2
+
+
 def _face_defects(
-    points: Mapping[Site, HPoint], face: Site, site: Site | None = None
+    points: Mapping[Site, HPoint], face: Site, table: tuple | None = None
 ) -> Iterator[tuple]:
     """Non-degeneracy violations among the corners of a face held in ``points``.
 
     Yields ('edge', s, t) for the coincident ends of a face edge, then
     ('triple', face, (s, t, u)) for a vertex triple that does not span a
-    plane, both in ``combinations`` order of the corners.  Given a site,
-    only the violations that involve it.
+    plane, both in ``combinations`` order of the corners.  A triple is
+    decided by the face's bracket table when given, else by its bracket
+    and rank.
     """
     corners = [s for s in face_sites(face) if s in points]
     for s, t in combinations(corners, 2):
-        adjacent = s[0] == t[0] or s[1] == t[1]
-        if adjacent and (site is None or site in (s, t)) and points[s] == points[t]:
+        if (s[0] == t[0] or s[1] == t[1]) and points[s] == points[t]:
             yield ("edge", s, t)
-    for triple in combinations(corners, 3):
-        if (site is None or site in triple) and span_dim([points[s] for s in triple]) != 2:
+    for k, triple in enumerate(combinations(corners, 3)):
+        if not (table[k] if table is not None else _spans_plane(*(points[s] for s in triple))):
             yield ("triple", face, triple)
 
 
@@ -213,12 +260,15 @@ def check_nondegenerate(net: QNet) -> list[tuple]:
     """
     edges: list[tuple] = []
     triples: list[tuple] = []
-    for site in net.domain.sites():
-        # The unit square at a site: its first two edges start there, and it
-        # has triples only when it is a face of the net.
-        found = list(_face_defects(net._points, site))
-        edges += [v for v in found if v[0] == "edge" and v[1] == site]
-        triples += reversed([v for v in found if v[0] == "triple"])
+    pts, d = net._points, net.domain
+    for site in d.sites():
+        i, j = site
+        for t in ((i + 1, j), (i, j + 1)):
+            if t in pts and pts[site] == pts[t]:
+                edges.append(("edge", site, t))
+        if i < d.i_max and j < d.j_max:
+            found = _face_defects(pts, site, _net_brackets(net, site))
+            triples += reversed([v for v in found if v[0] == "triple"])
     return edges + triples
 
 
@@ -255,9 +305,10 @@ def _check_edge(points: Mapping[Site, HPoint], s: Site, t: Site) -> None:
 
 
 def _face_transform_point(
-    points: Mapping[Site, HPoint], face: Site, direction: Direction
+    points: Mapping[Site, HPoint], face: Site, direction: Direction, cache: dict | None = None
 ) -> HPoint:
-    """Laplace transform point of one face of a net or of partial data."""
+    """Laplace transform point of one face of a net or of partial data,
+    from the face's bracket table when it has one."""
     i, j = face
     if direction == "forward":
         e1, e2 = ((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))
@@ -270,7 +321,12 @@ def _face_transform_point(
         raise GeometryError(
             "Laplace %s transform undefined on face %s: %s" % (direction, face, exc)
         ) from exc
-    pt = line_meet(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
+    t = _brackets(points, face, {} if cache is None else cache)
+    if t is None:
+        pt = line_meet(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
+    else:
+        u, v = (t[2], t[0]) if direction == "forward" else (t[1], -t[0])
+        pt = _combine(u, points[e2[0]], v, points[e2[1]])
     if pt is None:
         raise GeometryError(
             "Laplace %s transform undefined on face %s: edge lines do not meet in a point"
@@ -290,7 +346,7 @@ def _face_transforms(net: QNet, direction: Direction) -> dict[Site, HPoint | Geo
         faces = {}
         for face in net.domain.faces():
             try:
-                faces[face] = _face_transform_point(net._points, face, direction)
+                faces[face] = _face_transform_point(net._points, face, direction, net._memo["brackets"])
             except GeometryError as exc:
                 faces[face] = type(exc)(*exc.args)
         net._memo[direction] = faces
@@ -476,7 +532,11 @@ def diagonal_intersection_net(net: QNet) -> QNet:
         i, j = face
         _check_edge(net, (i, j), (i + 1, j + 1))
         _check_edge(net, (i + 1, j), (i, j + 1))
-        x = line_meet(net[(i, j)], net[(i + 1, j + 1)], net[(i + 1, j)], net[(i, j + 1)])
+        t = _net_brackets(net, face)
+        if t is None:
+            x = line_meet(net[(i, j)], net[(i + 1, j + 1)], net[(i + 1, j)], net[(i, j + 1)])
+        else:
+            x = _combine(t[1], net[(i, j + 1)], -t[2], net[(i + 1, j)])
         if x is None:
             raise GeometryError("diagonals of face %s do not meet in a point" % (face,))
         pts[face] = x

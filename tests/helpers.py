@@ -7,7 +7,11 @@ RREF.  The reference_* functions answer the small rank questions of
 and ``reference_echelon`` gives the canonical echelon form by elimination
 alone, without the closed forms of ``qnets.linalg.echelon``.
 ``reference_bs_line`` is the admissible line of ``construct._bs_line`` as
-the meet of the joined face plane and 3-space.
+the meet of the joined face plane and 3-space.  The face references
+(``reference_face_transform``, ``reference_face_defects``,
+``reference_check_nondegenerate``, ``reference_validate_qnet``,
+``reference_invariants`` and ``reference_diagonal_point``) decide every
+face from those references alone, without bracket tables.
 """
 
 from __future__ import annotations
@@ -16,11 +20,14 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+from itertools import combinations
+
 from qnets import (
     INFINITY,
     ConstructionError,
     GeometryError,
     HPoint,
+    InvariantError,
     UndefinedCrossRatioError,
     join,
     meet,
@@ -169,6 +176,128 @@ def reference_line_meet(a, b, c, d):
     abc, abd = oracle_det3([a3, b3, c3]), oracle_det3([a3, b3, d3])
     x = [abd * y - abc * z for y, z in zip(c.coords, d.coords)]
     return HPoint(x) if any(x) else None
+
+
+def _corners(face):
+    i, j = face
+    return ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))
+
+
+def reference_face_transform(points, face, direction):
+    """The Laplace transform point of a face as the reference meet of its
+    two edge lines, with the errors of ``qnet._face_transform_point``."""
+    i, j = face
+    if direction == "forward":
+        e1, e2 = ((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))
+    else:
+        e1, e2 = ((i, j), (i + 1, j)), ((i, j + 1), (i + 1, j + 1))
+    for s, t in (e1, e2):
+        if points[s] == points[t]:
+            raise GeometryError(
+                "Laplace %s transform undefined on face %s: edge %s-%s degenerates to a point"
+                % (direction, face, s, t)
+            )
+    x = reference_line_meet(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
+    if x is None:
+        raise GeometryError(
+            "Laplace %s transform undefined on face %s: edge lines do not meet in a point"
+            % (direction, face)
+        )
+    return x
+
+
+def reference_diagonal_point(points, face):
+    """The meet of the diagonals of a face, with the errors of
+    ``diagonal_intersection_net``."""
+    c0, c1, c2, c3 = _corners(face)
+    for s, t in ((c0, c3), (c1, c2)):
+        if points[s] == points[t]:
+            raise GeometryError("edge %s-%s degenerates to a point" % (s, t))
+    x = reference_line_meet(points[c0], points[c3], points[c1], points[c2])
+    if x is None:
+        raise GeometryError("diagonals of face %s do not meet in a point" % (face,))
+    return x
+
+
+def reference_face_defects(points, face):
+    """Coincident edge ends, then corner triples of oracle rank below 3,
+    among the corners of a face held in ``points``, in ``combinations``
+    order of the corners."""
+    corners = [s for s in _corners(face) if s in points]
+    out = [
+        ("edge", s, t)
+        for s, t in combinations(corners, 2)
+        if (s[0] == t[0] or s[1] == t[1]) and points[s] == points[t]
+    ]
+    return out + [
+        ("triple", face, triple)
+        for triple in combinations(corners, 3)
+        if reference_span_dim([points[s] for s in triple]) != 2
+    ]
+
+
+def reference_check_nondegenerate(net):
+    """``check_nondegenerate`` from the reference defects: edges site by
+    site, then triples face by face omitting corner 0, 1, 2, 3 in turn."""
+    pts = net.points()
+    edges, triples = [], []
+    for site in net.domain.sites():
+        found = reference_face_defects(pts, site)
+        edges += [v for v in found if v[0] == "edge" and v[1] == site]
+        triples += reversed([v for v in found if v[0] == "triple"])
+    return edges + triples
+
+
+def reference_validate_qnet(net):
+    return [
+        face
+        for face in net.domain.faces()
+        if reference_span_dim([net[s] for s in _corners(face)]) > 2
+    ]
+
+
+def reference_invariants(net):
+    """(h, k) of ``laplace_invariants`` from reference transform points and
+    reference cross-ratios, or the type and message of its error."""
+    pts = net.points()
+    d = net.domain
+    fields = {}
+    for direction in ("forward", "backward"):
+        found = {}
+        for face in d.faces():
+            try:
+                found[face] = reference_face_transform(pts, face, direction)
+            except GeometryError:
+                pass
+        fields[direction] = found
+    h, k = {}, {}
+    try:
+        fwd, bwd = fields["forward"], fields["backward"]
+        for i in range(d.i_min + 1, d.i_max):
+            for j in range(d.j_min, d.j_max):
+                if (i, j) in fwd and (i - 1, j) in fwd:
+                    h[(i, j)] = _reference_invariant(
+                        "H", (i, j), pts[(i, j)], fwd[(i, j)], pts[(i, j + 1)], fwd[(i - 1, j)]
+                    )
+        for i in range(d.i_min, d.i_max):
+            for j in range(d.j_min + 1, d.j_max):
+                if (i, j) in bwd and (i, j - 1) in bwd:
+                    k[(i, j)] = _reference_invariant(
+                        "K", (i, j), pts[(i, j)], bwd[(i, j)], pts[(i + 1, j)], bwd[(i, j - 1)]
+                    )
+    except InvariantError as exc:
+        return type(exc), str(exc)
+    return h, k
+
+
+def _reference_invariant(kind, edge, *points):
+    try:
+        value = reference_ratio(*points)
+    except (GeometryError, UndefinedCrossRatioError) as exc:
+        raise InvariantError("%s%s undefined: %s" % (kind, edge, exc), edge)
+    if value is INFINITY:
+        raise InvariantError("%s%s is infinite (degenerate net)" % (kind, edge), edge)
+    return value
 
 
 def reference_ratio(*points):

@@ -40,7 +40,13 @@ from qnets.construct import validate_boundary
 from qnets.projective import transform_point
 from qnets.qnet import TerminationReport, transform_net
 
-from helpers import random_invertible, reference_bs_line
+from helpers import (
+    random_invertible,
+    reference_bs_line,
+    reference_face_defects,
+    reference_invariants,
+    reference_span_dim,
+)
 
 F = Fraction
 
@@ -393,3 +399,123 @@ class TestRareGeneratorFailures:
         assert type(info.value) is ConstructionError
         assert str(info.value) == "completion at %s is degenerate" % (site,)
         assert info.value.site == site
+
+
+class TestFaceChecksOnPartialData:
+    """``_fill_ok`` and ``validate_boundary`` decide faces of partial data
+    as the Bareiss-only references do: the same accept/reject decisions,
+    and the same first error, with its message and site."""
+
+    @staticmethod
+    def _partial(rng, n, rank, zeros):
+        base = [[0] * zeros + [rng.randint(-3, 3) for _ in range(n + 1 - zeros)] for _ in range(rank)]
+        dom = GridDomain(0, 3, 0, 3)
+        pts = {}
+        for site in dom.sites():
+            if rng.random() < 0.3:
+                continue
+            done = list(pts.values())
+            if done and rng.random() < 0.2:
+                pts[site] = rng.choice(done)
+                continue
+            vec = [sum(rng.randint(-2, 2) * v[k] for v in base) for k in range(n + 1)]
+            if any(vec):
+                pts[site] = HPoint(vec)
+        return dom, pts
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_fill_ok(self, n):
+        rng = random.Random(900 + n)
+        decisions = set()
+        for rank in range(1, 5):
+            for zeros in range(min(3, n) + 1):
+                for _ in range(40):
+                    dom, pts = self._partial(rng, n, rank, zeros)
+                    free = [s for s in dom.sites() if s not in pts]
+                    if not free or not pts:
+                        continue
+                    site = rng.choice(free)
+                    pool, roll = list(pts.values()), rng.random()
+                    if roll < 0.3:  # a coincidence
+                        cand = rng.choice(pool)
+                    else:  # on the line of two points, or anywhere
+                        p, q = rng.choice(pool), rng.choice(pool)
+                        vec = [x + y for x, y in zip(p.coords, q.coords)]
+                        if roll > 0.6 or not any(vec):
+                            vec = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(n)]
+                        cand = HPoint(vec)
+                    i, j = site
+                    want = True
+                    for face in ((i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)):
+                        corners = {s: pts[s] for s in construct.face_sites(face) if s in pts and dom.contains(s)}
+                        if corners:
+                            corners[site] = cand
+                            found = reference_face_defects(corners, face)
+                            if any(site in (v[1:] if v[0] == "edge" else v[2]) for v in found):
+                                want = False
+                    assert construct._fill_ok(pts, dom, site, cand) == want
+                    decisions.add(want)
+        assert decisions == {True, False}
+
+    @staticmethod
+    def _reference_validate(boundary):
+        pts, dom = boundary.points, boundary.domain
+        for face in dom.faces():
+            corners = [pts[s] for s in construct.face_sites(face) if s in pts]
+            if len(corners) == 4 and reference_span_dim(corners) > 2:
+                raise ConstructionError("boundary face %s is not planar" % (face,), face)
+            for defect in reference_face_defects(pts, face):
+                if defect[0] == "edge":
+                    raise ConstructionError("boundary edge %s-%s collapses" % defect[1:], defect[1])
+                raise ConstructionError("boundary triple %s is collinear" % (defect[2],), defect[2][0])
+        for p in range(dom.i_min, dom.i_max - 1):
+            for q in range(dom.j_min, dom.j_max - 1):
+                window = [(p + di, q + dj) for dj in range(3) for di in range(3)]
+                if all(s in pts for s in window):
+                    sub = QNet(GridDomain(p, p + 2, q, q + 2), boundary.ambient_dim, {s: pts[s] for s in window})
+                    field = reference_invariants(sub)
+                    if isinstance(field[0], type):
+                        raise field[0](field[1])
+                    h, k = field
+                    i, j = p + 1, q
+                    if h[(i, j)] * h[(i, j + 1)] != k[(i, j + 1)] * k[(i - 1, j + 1)]:
+                        raise ConstructionError(
+                            "boundary window at (%d,%d) violates the Koenigs condition" % (p, q), (p, q)
+                        )
+
+    def test_validate_boundary(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for seed in range(4):
+            boundary = laplace_degenerate_boundary(2, 3, 4, 3, seed)
+            sites = sorted(boundary.points)
+            for _ in range(25):
+                pts = dict(boundary.points)
+                site = rng.choice(sites)
+                kind = rng.randrange(6)
+                a, b, c = pts[(1, 3)].coords, pts[(2, 3)].coords, pts[(1, 4)].coords
+                if kind == 3:  # (2, 4) elsewhere in the plane of its one face
+                    k = [rng.randint(1, 3), rng.randint(-3, 3), rng.randint(-3, 3)]
+                    pts[(2, 4)] = HPoint([k[0] * x + k[1] * y + k[2] * z for x, y, z in zip(a, b, c)])
+                elif kind == 4:  # (2, 4) on the line of (2, 3) and (1, 4)
+                    pts[(2, 4)] = HPoint([x + 2 * y for x, y in zip(b, c)])
+                elif kind == 0:  # a random point: faces leave their planes
+                    pts[site] = HPoint([rng.randint(-9, 9) for _ in range(3)] + [1])
+                elif kind == 1:  # a neighbour's point: an edge collapses
+                    others = [s for s in sites if s != site and abs(s[0] - site[0]) + abs(s[1] - site[1]) == 1]
+                    pts[site] = pts[rng.choice(others)]
+                elif kind == 2:  # a point of the line of two others
+                    p, q = rng.sample([pts[s] for s in sites if s != site], 2)
+                    pts[site] = HPoint([x + y for x, y in zip(p.coords, q.coords)])
+                got = want = None
+                try:
+                    validate_boundary(PartialNet(boundary.domain, 3, pts))
+                except Exception as exc:
+                    got = (type(exc), str(exc), getattr(exc, "site", None))
+                try:
+                    self._reference_validate(PartialNet(boundary.domain, 3, pts))
+                except Exception as exc:
+                    want = (type(exc), str(exc), getattr(exc, "site", None))
+                assert got == want
+                outcomes.add(got and got[1].split()[1])
+        assert outcomes == {None, "edge", "face", "triple", "window"}

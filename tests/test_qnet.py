@@ -29,8 +29,20 @@ from qnets import (
     random_qnet,
     validate_qnet,
 )
-from qnets.qnet import transform_net
-from helpers import random_invertible, random_point
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qnets import QnetsError, laplace_invariants
+from qnets.qnet import _face_transform_point, transform_net, transform_points
+from helpers import (
+    random_invertible,
+    random_point,
+    reference_check_nondegenerate,
+    reference_diagonal_point,
+    reference_face_transform,
+    reference_invariants,
+    reference_validate_qnet,
+)
 
 
 def unit_square():
@@ -335,3 +347,129 @@ class TestTransformMemo:
         reports = [laplace_iterate(net, 1) for _ in range(2)]
         assert reports[0] == reports[1]
         assert isinstance(reports[0], TerminationReport)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of the QnetsError it
+    raises."""
+    try:
+        return fn(*args)
+    except QnetsError as exc:
+        return type(exc), str(exc)
+
+
+def _face_configuration(rng, n, rank, zeros, flat, bits):
+    """A 3x3-site net in RP^n whose points are small combinations of
+    ``rank`` random vectors, so that every face has rank at most ``rank``.
+    The first ``zeros`` columns vanish, column 2 repeats column 0 when
+    ``flat`` (both make leading brackets zero on faces of rank 3), entries
+    of the vectors have about ``bits`` bits, and coincident points and
+    collinear triples are common."""
+    base = []
+    for _ in range(rank):
+        vec = [0] * zeros + [rng.randint(-(2**bits), 2**bits) for _ in range(n + 1 - zeros)]
+        if flat and n >= 2:
+            vec[2] = vec[0]
+        base.append(vec)
+    dom = GridDomain(0, 2, 0, 2)
+    pts = {}
+    for site in dom.sites():
+        done = list(pts.values())
+        roll = rng.random()
+        if done and roll < 0.15:
+            pts[site] = rng.choice(done)
+            continue
+        if len(done) >= 2 and roll < 0.3:
+            p, q = rng.sample(done, 2)
+            al, be = rng.choice([(1, 1), (1, -1), (2, 3)])
+            vec = [al * x + be * y for x, y in zip(p.coords, q.coords)]
+        else:
+            vec = [sum(rng.randint(-2, 2) * v[k] for v in base) for k in range(n + 1)]
+        if not any(vec):
+            vec = base[0] if any(base[0]) else [1] + [0] * n
+        pts[site] = HPoint(vec)
+    return QNet(dom, n, pts)
+
+
+class TestBracketTable:
+    """Every face predicate read off the bracket tables (transform and
+    diagonal points, triples, planarity, invariants) agrees with the
+    Bareiss-only references in value, error type, message and the order of
+    ``check_nondegenerate``, on faces of every rank, with zero leading
+    brackets, coincident edges and collinear triples, in RP^1 to RP^9 and
+    with coordinates of 100 bits and more."""
+
+    @staticmethod
+    def _agree(net):
+        pts = net.points()
+        assert check_nondegenerate(net) == reference_check_nondegenerate(net)
+        assert validate_qnet(net) == reference_validate_qnet(net)
+        for direction in ("forward", "backward"):
+            expected = {}
+            for face in net.domain.faces():
+                want = _outcome(reference_face_transform, pts, face, direction)
+                assert _outcome(_face_transform_point, pts, face, direction) == want
+                if isinstance(want, HPoint):
+                    expected[face] = want
+            assert transform_points(net, direction) == expected
+        field = _outcome(laplace_invariants, net)
+        got = field if isinstance(field, tuple) else (field.h, field.k)
+        assert got == reference_invariants(net)
+        try:
+            want = {f: reference_diagonal_point(pts, f) for f in net.domain.faces()}
+        except GeometryError as exc:
+            want = (type(exc), str(exc))
+        diagonal = _outcome(diagonal_intersection_net, net)
+        assert (diagonal if isinstance(diagonal, tuple) else diagonal.points()) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_seeded_configurations(self, n):
+        rng = random.Random(700 + n)
+        for rank in range(1, 5):
+            for zeros in range(min(3, n) + 1):
+                for flat in (False, True):
+                    for bits in (2, 110):
+                        for _ in range(6):
+                            self._agree(_face_configuration(rng, n, rank, zeros, flat, bits))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1, 2, 3, 9]),
+        st.integers(1, 4),
+        st.booleans(),
+        st.sampled_from([2, 110]),
+        st.integers(0, 2**32),
+    )
+    def test_property(self, n, rank, flat, bits, seed):
+        rng = random.Random(seed)
+        for zeros in range(min(3, n) + 1):
+            self._agree(_face_configuration(rng, n, rank, zeros, flat, bits))
+
+    def test_named_faces(self):
+        dom = GridDomain(0, 1, 0, 1)
+        cases = [
+            # planar, [012] = 0 and [013] != 0
+            ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)),
+            # rank 4 with [012] != 0: only the coplanarity test tells
+            ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+            # rank 4 with every bracket in columns 0, 1, 2 zero
+            ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
+            # planar, every bracket in columns 0, 1, 2 zero
+            ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 1, 0, 1, 1)),
+            # coincident vertical edge, collinear triple
+            ((1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0)),
+            # parallel edge lines meeting at infinity in the affine chart
+            ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)),
+        ]
+        for corners in cases:
+            pts = dict(zip(((0, 0), (1, 0), (0, 1), (1, 1)), map(HPoint, corners)))
+            self._agree(QNet(dom, len(corners[0]) - 1, pts))
+
+    def test_generated_nets(self):
+        nets = [random_qnet(3, 3, n, s) for n in (2, 3, 9) for s in range(3)]
+        nets += [random_bs_koenigs(3, 3, 3, s) for s in range(3)] + [random_goursat_net(3, 3, 3, 0)]
+        for net in nets:
+            self._agree(net)
+            step = laplace_iterate(net, 1)
+            if not isinstance(step, TerminationReport):
+                self._agree(step)
