@@ -230,18 +230,15 @@ def _sampled_projector(span: Subspace, seed: int, onto_span: bool = True) -> Pro
     for _ in range(RETRY_BUDGET):
         rows = [[rng.randint(-9, 9) for _ in range(m + 1)] for _ in range(codim)]
         cand = Subspace.from_rows(rows, m)
-        if len(cand.rows) == codim:
-            try:
-                return Projector(cand, span) if onto_span else Projector(span, cand)
-            except GeometryError:
-                continue
+        try:
+            return Projector(cand, span) if onto_span else Projector(span, cand)
+        except GeometryError:
+            continue
     raise GeneralPositionError("could not sample a supplementary subspace")
 
 
 def sample_supplementary(span: Subspace, seed: int) -> Subspace:
     """Seeded random rational subspace supplementary to the given one."""
-    if span.is_full:
-        return Subspace.empty(span.ambient_dim)
     return _sampled_projector(span, seed).center
 
 
@@ -259,10 +256,7 @@ def embed_and_lift(net: QNet, seed: int) -> LiftResult:
             "a Sigma_{%d,%d} net joins at most %d dimensions" % (d.width_i, d.width_j, m)
         )
     embedded = embed_net(net, m)
-    screen = net_span(embedded)
-    if screen.is_full:
-        return LiftResult(embedded, Subspace.empty(m), screen, seed)
-    return _lift_through(embedded, _sampled_projector(screen, seed ^ 0x5F5E5F), seed)
+    return _lift_through(embedded, _sampled_projector(net_span(embedded), seed ^ 0x5F5E5F), seed)
 
 
 def koenigs_hyperplanes(net: QNet) -> HyperplanePair:

@@ -447,14 +447,14 @@ def multi_ratio(
 
 class Projector:
     """Central projection through a fixed center onto a fixed screen, as one
-    integer matrix.
+    integer matrix: the same point as (p v C) ^ E, zero exactly on C.
 
-    With A the center's echelon rows stacked on the screen's, a vector
-    v = a A splits as its center part plus its screen part; the screen part
-    is v times the screen columns of A^-1, times the screen rows.  ``matrix``
-    is that map scaled to primitive integers, computed once by fraction-free
-    elimination of [A | I], so the image of a point is one matrix-vector
-    product: the same point as (p v C) ^ E, and zero exactly on the center.
+    Reduced by the screen's echelon rows S_p (pivots s_p), v leaves r(v) =
+    v - sum (v_p / s_p) S_p on the other columns F, and v - l C lies on the
+    screen exactly when r(v) = l r(C).  So ``matrix``, scaled to primitive
+    integers, maps v to v - r(v)_F r(C)_F^-1 C, read off the echelon form of
+    [L r(C)_F | C] (L = lcm s_p), which has full rank exactly when center
+    and screen are supplementary.
     """
 
     __slots__ = ("center", "screen", "matrix", "_rows")
@@ -463,20 +463,25 @@ class Projector:
         if center.ambient_dim != screen.ambient_dim:
             raise DimensionMismatchError("projection operands in different ambient spaces")
         size = center.ambient_dim + 1
-        rows = center.rows + screen.rows
-        pivots: tuple[int, ...] = ()
-        if len(rows) == size:
-            # [A | I] reduces to the rows d_r e_r | d_r (row r of A^-1).
-            eye = [[int(k == c) for c in range(size)] for k in range(size)]
-            red, pivots = echelon([list(row) + e for row, e in zip(rows, eye)], size)
-        if len(pivots) != size:
+        screen_pivots = tuple(zip(screen.rows, screen.pivots))
+        free = [c for c in range(size) if c not in screen.pivots]
+        k, big = len(free), lcm(*(s[p] for s, p in screen_pivots))
+        rows = [
+            [big * r[c] - sum(big // s[p] * r[p] * s[c] for s, p in screen_pivots) for c in free] + list(r)
+            for r in center.rows
+        ]
+        red = echelon(rows, k)[0] if len(rows) == k else ()
+        if len(red) != k:
             raise GeometryError("center and screen are not supplementary")
-        scale = lcm(*(row[r] for r, row in enumerate(red)))
-        # cols[r]: row r of scale * A^-1, in the columns of the screen rows.
-        k = size + len(center.rows)
-        cols = [[scale // row[r] * x for x in row[k:]] for r, row in enumerate(red)]
-        columns = zip(*screen.rows) if screen.rows else [()] * size
-        matrix = [[sum(map(mul, column, col)) for col in cols] for column in columns]
+        scale = lcm(*(row[i] for i, row in enumerate(red)))
+        matrix = [[scale * (a == b) for b in range(size)] for a in range(size)]
+        for i, (t, row) in enumerate(zip(free, red)):
+            g = [big * (scale // row[i]) * x for x in row[k:]]
+            terms = [(p, s[t] * (big // s[p])) for s, p in screen_pivots if s[t]]
+            for a, x in enumerate(g):
+                matrix[a][t] -= x
+                for p, f in terms:
+                    matrix[a][p] += x * f // big
         content = gcd(*(x for row in matrix for x in row)) or 1
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "screen", screen)

@@ -11,7 +11,8 @@ the meet of the joined face plane and 3-space.  The face references
 (``reference_face_transform``, ``reference_face_defects``,
 ``reference_check_nondegenerate``, ``reference_validate_qnet``,
 ``reference_invariants`` and ``reference_diagonal_point``) decide every
-face from those references alone, without bracket tables.
+face from those references alone, without bracket tables, and
+``reference_projector_matrix`` inverts [center; screen] over Q.
 """
 
 from __future__ import annotations
@@ -298,6 +299,37 @@ def _reference_invariant(kind, edge, *points):
     if value is INFINITY:
         raise InvariantError("%s%s is infinite (degenerate net)" % (kind, edge), edge)
     return value
+
+
+def reference_projector_matrix(center, screen):
+    """The matrix of the projection through ``center`` onto ``screen``
+    (out = M v) as the screen part of v = (v A^-1) A, A the center's rows
+    stacked on the screen's, inverted by Gauss-Jordan over Q, scaled to
+    primitive integers by a positive factor; None when A is singular."""
+    rows = list(center.rows) + list(screen.rows)
+    size = center.ambient_dim + 1
+    if len(rows) != size:
+        return None
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(rows)]
+    for c in range(size):
+        r = next((k for k in range(c, size) if work[k][c] != 0), None)
+        if r is None:
+            return None
+        work[c], work[r] = work[r], work[c]
+        work[c] = [x / work[c][c] for x in work[c]]
+        for k in range(size):
+            if k != c and work[k][c] != 0:
+                work[k] = [x - work[k][c] * y for x, y in zip(work[k], work[c])]
+    inverse = [row[size:] for row in work]
+    k = len(center.rows)
+    matrix = [
+        [sum(inverse[b][k + s] * screen.rows[s][a] for s in range(len(screen.rows))) for b in range(size)]
+        for a in range(size)
+    ]
+    den = lcm(*(x.denominator for row in matrix for x in row))
+    ints = [[int(x * den) for x in row] for row in matrix]
+    g = gcd(*(x for row in ints for x in row)) or 1
+    return tuple(tuple(x // g for x in row) for row in ints)
 
 
 def reference_ratio(*points):

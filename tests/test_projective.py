@@ -30,6 +30,7 @@ from helpers import (
     random_invertible,
     random_point,
     reference_line_meet,
+    reference_projector_matrix,
     reference_ratio,
     reference_span_dim,
 )
@@ -376,6 +377,31 @@ class TestProjector:
                 p = HPoint([sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)])
                 with pytest.raises(ProjectionUndefinedError):
                     Projector(center, screen)(p)
+
+    def test_matrix_matches_the_inverse_over_q(self):
+        # Random pairs, coordinate screens (the padded joins of the lift
+        # constructions), screens with pivot entries other than 1, entries
+        # of about 100 bits, and pairs that are not supplementary.
+        rng = random.Random(33)
+        outcomes = set()
+        for n in range(1, 10):
+            for case in range(12):
+                k = rng.randint(0, n + 1)
+                bits = 100 if case % 3 == 2 else 3
+                rows = [[rng.randint(-(2**bits), 2**bits) for _ in range(n + 1)] for _ in range(n + 1)]
+                if case % 3 == 1:
+                    rows[k:] = [[int(c == j) for c in range(n + 1)] for j in rng.sample(range(n + 1), n + 1 - k)]
+                if case % 4 == 3 and k and n + 1 - k:
+                    rows[0] = rows[-1]
+                center, screen = Subspace.from_rows(rows[:k], n), Subspace.from_rows(rows[k:], n)
+                want = reference_projector_matrix(center, screen)
+                if want is None:
+                    with pytest.raises(GeometryError, match="not supplementary"):
+                        Projector(center, screen)
+                else:
+                    assert Projector(center, screen).matrix == want
+                outcomes.add((want is None, any(r[p] > 1 for r, p in zip(screen.rows, screen.pivots))))
+        assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
     def test_empty_center_and_empty_screen(self):
         full, empty = Subspace.full(3), Subspace.empty(3)
