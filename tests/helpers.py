@@ -12,7 +12,8 @@ the meet of the joined face plane and 3-space.  The face references
 ``reference_check_nondegenerate``, ``reference_validate_qnet``,
 ``reference_invariants`` and ``reference_diagonal_point``) decide every
 face from those references alone, without bracket tables, and
-``reference_projector_matrix`` inverts [center; screen] over Q.
+``reference_projector_matrix`` inverts [center; screen] over Q, and
+``reference_nullspace`` is the right kernel by Gauss-Jordan over Q.
 """
 
 from __future__ import annotations
@@ -330,6 +331,32 @@ def reference_projector_matrix(center, screen):
     ints = [[int(x * den) for x in row] for row in matrix]
     g = gcd(*(x for row in ints for x in row)) or 1
     return tuple(tuple(x // g for x in row) for row in ints)
+
+
+def reference_nullspace(rows, ncols: int):
+    """A basis of {x : M x = 0} over Q by Gauss-Jordan elimination of
+    ``Fraction`` rows: one vector per free column, 1 there."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((k for k in range(r, len(work)) if work[k][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for k in range(len(work)):
+            if k != r and work[k][c] != 0:
+                work[k] = [x - work[k][c] * y for x, y in zip(work[k], work[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(work, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def reference_ratio(*points):

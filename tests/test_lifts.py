@@ -147,6 +147,34 @@ class TestForcedLift:
             got, want = _both_lifts(points, boundary.domain, center, screen, seed)
             assert isinstance(got, dict) and got == want
 
+    def test_zero_leading_columns_take_the_pivot_chart(self):
+        # Three zero coordinates in front put every image of a forced point
+        # (all on the screen) at zero in columns 0, 1, 2, so each of their
+        # brackets there vanishes and the chart is the Bareiss pivots.
+        pad = (0, 0, 0)
+        for a, b, n in ((2, 2, 3), (3, 2, 2), (2, 3, 4), (3, 3, 3)):
+            for seed in range(3):
+                net = embed_net(random_qnet(a, b, n, seed), a + b)
+                points = {s: HPoint(pad + p.coords) for s, p in net.points().items()}
+                screen = join(list(points.values()))
+                center = sample_supplementary(screen, seed)
+                got, want = _both_lifts(points, net.domain, center, screen, seed)
+                assert isinstance(got, dict) and got == want
+        for seed in range(3):
+            boundary = laplace_degenerate_boundary(2, 3, 4, 3, seed)
+            points = {s: HPoint(pad + p.coords + (0,) * 4) for s, p in boundary.points.items()}
+            screen = join(list(points.values()))
+            center = sample_supplementary(screen, seed)
+            got, want = _both_lifts(points, boundary.domain, center, screen, seed)
+            assert isinstance(got, dict) and got == want
+        net = embed_net(random_qnet(2, 2, 3, 4), 4)
+        points = {s: HPoint(pad + p.coords) for s, p in net.points().items()}
+        screen = join(list(points.values()))
+        points[(1, 1)] = HPoint(pad + (1, 2, 3, 5, 0))
+        center = sample_supplementary(screen, 4)
+        got, want = _both_lifts(points, net.domain, center, screen, 4)
+        assert got == want == (GeometryError, "lift meet at (1, 1) is not a single point")
+
     def test_face_off_its_plane_fails_like_the_meet(self):
         net = embed_net(random_qnet(2, 2, 3, 4), 4)
         points = net.points()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from qnets import (
     span,
 )
 from qnets.errors import DimensionMismatchError, ProjectionUndefinedError, QnetsError
+from qnets.lifts import hyperplane_pair_quadric
 from qnets.projective import Projector, line_meet, span_dim, supplementary, transform_point
 from helpers import (
     oracle_rank,
@@ -30,6 +32,7 @@ from helpers import (
     random_invertible,
     random_point,
     reference_line_meet,
+    reference_nullspace,
     reference_projector_matrix,
     reference_ratio,
     reference_span_dim,
@@ -430,6 +433,94 @@ class TestQuadric:
         with pytest.raises(ValueError):
             Quadric([[0, 1], [2, 0]])
 
+    def test_malformed_forms_are_rejected_by_name(self):
+        for form in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]], [[1, 2]]):
+            with pytest.raises(ValueError, match="quadric form must be square"):
+                Quadric(form)
+        for form in ([[0, 0], [0, 0]], [[F(0), 0, 0], [0, 0, 0], [0, 0, F(0, 5)]]):
+            with pytest.raises(ValueError, match="quadric form must be nonzero"):
+                Quadric(form)
+        for form in ([[0, 1], [2, 0]], [[1, F(1, 3)], [F(1, 3) + F(1, 10**12), 1]]):
+            with pytest.raises(ValueError, match="quadric form must be exactly symmetric"):
+                Quadric(form)
+
+    def test_fraction_and_scaled_integer_forms_are_equal(self):
+        rng = random.Random(24)
+        for size in (2, 3, 5):
+            for _ in range(10):
+                form = [[F(0)] * size for _ in range(size)]
+                for r in range(size):
+                    for c in range(r, size):
+                        form[r][c] = form[c][r] = F(rng.randint(-9, 9), rng.randint(1, 6))
+                if not any(x for row in form for x in row):
+                    continue
+                den = 1
+                for row in form:
+                    for x in row:
+                        den = den * x.denominator // math.gcd(den, x.denominator)
+                for k in (1, 7, -3):
+                    ints = [[int(x * den * k) for x in row] for row in form]
+                    assert Quadric(ints) == Quadric(form)
+                    assert hash(Quadric(ints)) == hash(Quadric(form))
+                bumped = [row[:] for row in form]
+                bumped[0][0] += 1
+                assert Quadric(bumped) != Quadric(form)
+
+    def _random_form(self, rng, size, rank):
+        """A symmetric rational form of the given rank at most: a sum of
+        rank-1 terms s v v^T with rational v."""
+        form = [[F(0)] * size for _ in range(size)]
+        for _ in range(rank):
+            v = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size)]
+            s = rng.choice((-1, 1))
+            for r in range(size):
+                for c in range(size):
+                    form[r][c] += s * v[r] * v[c]
+        return form
+
+    def test_polar_and_singular_locus_match_the_rational_kernel(self):
+        rng = random.Random(25)
+        checked = 0
+        for size in (2, 3, 4, 6):
+            for rank in range(1, size + 1):
+                for _ in range(4):
+                    form = self._random_form(rng, size, rank)
+                    if not any(x for row in form for x in row):
+                        continue
+                    q = Quadric(form)
+                    n = size - 1
+                    want = Subspace.from_rows(reference_nullspace(form, size), n)
+                    assert singular_locus(q) == want
+                    for _ in range(3):
+                        p = random_point(rng, n)
+                        w = [sum(a * b for a, b in zip(row, p.coords)) for row in form]
+                        expect = (
+                            Subspace.full(n)
+                            if not any(w)
+                            else Subspace.from_rows(reference_nullspace([w], size), n)
+                        )
+                        assert polar(q, p) == expect
+                        checked += 1
+                    if want.rows:
+                        s = HPoint(want.rows[0])
+                        assert polar(q, s).is_full
+        assert checked > 100
+
+    def test_hyperplane_pair_quadric_matches_the_rational_normals(self):
+        rng = random.Random(26)
+        for n in (2, 3, 5):
+            done = 0
+            while done < 8:
+                u1 = join([random_point(rng, n) for _ in range(n)])
+                u2 = join([random_point(rng, n) for _ in range(n)])
+                if u1.projective_dim != n - 1 or u2.projective_dim != n - 1:
+                    continue
+                n1 = reference_nullspace(u1.rows, n + 1)[0]
+                n2 = reference_nullspace(u2.rows, n + 1)[0]
+                form = [[n1[r] * n2[c] + n2[r] * n1[c] for c in range(n + 1)] for r in range(n + 1)]
+                assert hyperplane_pair_quadric(u1, u2) == Quadric(form)
+                done += 1
+
     def test_equality_up_to_scale(self):
         q1 = Quadric([[2, 0], [0, -2]])
         q2 = Quadric([[1, 0], [0, -1]])
@@ -492,3 +583,23 @@ def test_span_membership_closed_under_scaling(coords, lam):
     p = HPoint(coords)
     line = span(p, pt(1, 1, 1)) if p != pt(1, 1, 1) else span(p)
     assert line.contains_point(p.scaled(lam))
+
+
+class TestTransformPoint:
+    def test_fraction_matrix_matches_the_rational_product(self):
+        rng = random.Random(27)
+        for size in (2, 3, 5):
+            for _ in range(20):
+                m = [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(size)] for _ in range(size)]
+                p = random_point(rng, size - 1)
+                image = [sum(a * b for a, b in zip(row, p.coords)) for row in m]
+                if not any(image):
+                    continue
+                assert transform_point(m, p) == HPoint(image)
+                assert transform_point(m, p.scaled(F(-3, 7))) == HPoint(image)
+
+    def test_zero_image_is_rejected(self):
+        m = [[F(1, 2), F(-1, 2), 0], [1, -1, 0], [0, 0, 0]]
+        with pytest.raises(GeometryError, match="matrix maps the point to zero"):
+            transform_point(m, pt(3, 3, 5))
+        assert transform_point(m, pt(1, 0, 5)) == pt(1, 2, 0)

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnets import QnetsError, laplace_invariants
+from qnets.errors import DimensionMismatchError
 from qnets.qnet import _face_transform_point, transform_net, transform_points
 from helpers import (
     random_invertible,
@@ -87,6 +88,41 @@ class TestValidation:
         net = unit_square().with_point((1, 1), HPoint((2, 0, 1)))
         violations = check_nondegenerate(net)
         assert any(v[0] == "triple" for v in violations)
+
+
+class TestConstruction:
+    def test_missing_points_are_named_first_four_in_site_order(self):
+        dom = GridDomain(0, 2, 0, 2)
+        pts = {s: HPoint((s[0], s[1], 1)) for s in dom.sites()}
+        for s in ((1, 0), (2, 1), (0, 2), (1, 2), (2, 2)):
+            del pts[s]
+        with pytest.raises(ValueError, match=r"^missing net points at \[\(1, 0\), \(2, 1\), \(0, 2\), \(1, 2\)\]$"):
+            QNet(dom, 2, pts)
+
+    def test_wrong_ambient_dimension_is_named_at_the_first_site(self):
+        dom = GridDomain(0, 1, 0, 1)
+        pts = {s: HPoint((s[0], s[1], 1)) for s in dom.sites()}
+        pts[(0, 1)] = HPoint((0, 1, 1, 1))
+        pts[(1, 1)] = HPoint((1, 1))
+        with pytest.raises(DimensionMismatchError, match=r"^point at \(0, 1\) has wrong ambient dimension$"):
+            QNet(dom, 2, pts)
+        with pytest.raises(DimensionMismatchError, match=r"^point at \(0, 0\) has wrong ambient dimension$"):
+            QNet(dom, 3, pts)
+
+    def test_missing_points_take_precedence_over_a_wrong_dimension(self):
+        dom = GridDomain(0, 1, 0, 1)
+        pts = {s: HPoint((s[0], s[1], 1)) for s in dom.sites()}
+        pts[(1, 0)] = HPoint((1, 0, 1, 1))
+        del pts[(1, 1)]
+        with pytest.raises(ValueError, match=r"^missing net points at \[\(1, 1\)\]$"):
+            QNet(dom, 2, pts)
+
+    def test_extra_points_are_dropped(self):
+        dom = GridDomain(0, 1, 0, 1)
+        pts = {s: HPoint((s[0], s[1], 1)) for s in GridDomain(0, 2, 0, 1).sites()}
+        net = QNet(dom, 2, pts)
+        assert sorted(net.points()) == sorted(dom.sites())
+        assert net == affine_grid(1, 1)
 
 
 class TestExtensive:
