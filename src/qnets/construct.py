@@ -71,6 +71,20 @@ def _derive(seed: int, salt: int) -> int:
     return (int(seed) * 1000003 + salt) & 0x7FFFFFFFFFFFFFFF
 
 
+def _retry(seed: int, tries: int, errors, message: str, attempt: Callable[[int, int], object]):
+    """The result of the first ``attempt(_derive(seed, k), k)``, k = 0 ..
+    tries - 1, that neither raises one of ``errors`` nor returns None;
+    GeneralPositionError(message) when every attempt fails."""
+    for k in range(tries):
+        try:
+            result = attempt(_derive(seed, k), k)
+        except errors:
+            continue
+        if result is not None:
+            return result
+    raise GeneralPositionError(message)
+
+
 @dataclass
 class PartialNet:
     """Boundary data: a target window with points on part of its sites."""
@@ -128,6 +142,17 @@ def _fill_ok(points: Mapping[Site, HPoint], domain: GridDomain, site: Site, cand
     return True
 
 
+def _place(points: dict[Site, HPoint], domain: GridDomain, site: Site, draw: Callable, what: str) -> None:
+    """Put at ``site`` the first of up to RETRY_BUDGET candidates from
+    ``draw`` (None for one it rejects itself) that ``_fill_ok`` accepts."""
+    for _ in range(RETRY_BUDGET):
+        cand = draw()
+        if cand is not None and _fill_ok(points, domain, site, cand):
+            points[site] = cand
+            return
+    raise GeneralPositionError("no %s at %s" % (what, site))
+
+
 def _fill_sites(
     points: dict[Site, HPoint],
     domain: GridDomain,
@@ -140,17 +165,17 @@ def _fill_sites(
     for site in sites:
         i, j = site
         preds = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
-        constrained = all(p in points for p in preds)
-        for _ in range(RETRY_BUDGET):
-            if constrained:
-                cand = _in_plane_point(rng, *(points[p] for p in preds))
-            else:
-                cand = _rand_point(rng, n)
-            if _fill_ok(points, domain, site, cand):
-                points[site] = cand
-                break
+        if all(p in points for p in preds):
+            plane = [points[p] for p in preds]
+            _place(points, domain, site, lambda: _in_plane_point(rng, *plane), "valid random point")
         else:
-            raise GeneralPositionError("no valid random point at %s" % (site,))
+            _place(points, domain, site, lambda: _rand_point(rng, n), "valid random point")
+
+
+def _toward(base: HPoint, apex: HPoint, num: int, den: int = 1) -> HPoint | None:
+    """The point base + (num / den) apex, None when it is the apex."""
+    cand = HPoint([den * x + num * z for x, z in zip(base.coords, apex.coords)])
+    return None if cand == apex else cand
 
 
 def _first_transforms_generic(net: QNet) -> bool:
@@ -177,21 +202,18 @@ def random_qnet(a: int, b: int, n: int, seed: int) -> QNet:
     """
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
-    for attempt in range(16):
-        rng = random.Random(_derive(seed, attempt))
+
+    def attempt(s: int, k: int) -> QNet | None:
+        rng = random.Random(s)
         dom = GridDomain(0, a, 0, b)
         pts: dict[Site, HPoint] = {}
-        try:
-            _fill_sites(pts, dom, sorted(dom.sites(), key=lambda s: (s[1], s[0])), rng, n)
-        except GeneralPositionError:
-            continue
+        _fill_sites(pts, dom, sorted(dom.sites(), key=lambda s: (s[1], s[0])), rng, n)
         net = QNet(dom, n, pts)
-        if validate_qnet(net) or check_nondegenerate(net):
-            continue
-        if not _first_transforms_generic(net):
-            continue
+        if validate_qnet(net) or check_nondegenerate(net) or not _first_transforms_generic(net):
+            return None
         return net
-    raise GeneralPositionError("random net failed validation")
+
+    return _retry(seed, 16, GeneralPositionError, "random net failed validation", attempt)
 
 
 def random_laplace_degenerate_net(a: int, b: int, n: int, seed: int) -> QNet:
@@ -200,34 +222,23 @@ def random_laplace_degenerate_net(a: int, b: int, n: int, seed: int) -> QNet:
     edge-lines of a row of faces are concurrent."""
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
-    for attempt in range(8):
-        rng = random.Random(_derive(seed, attempt))
+
+    def attempt(s: int, k: int) -> QNet | None:
+        rng = random.Random(s)
         dom = GridDomain(0, a, 0, b)
         pts: dict[Site, HPoint] = {}
-        try:
-            _fill_sites(pts, dom, [(i, 0) for i in range(a + 1)], rng, n)
-            for j in range(b):
-                center = _rand_point(rng, n)
-                for i in range(a + 1):
-                    base = pts[(i, j)]
-                    placed = False
-                    for _ in range(RETRY_BUDGET):
-                        mu = Fraction(rng.randint(1, 9))
-                        cand = HPoint([x + mu * z for x, z in zip(base.coords, center.coords)])
-                        if cand != center and _fill_ok(pts, dom, (i, j + 1), cand):
-                            pts[(i, j + 1)] = cand
-                            placed = True
-                            break
-                    if not placed:
-                        raise GeneralPositionError("no line point at %s" % ((i, j + 1),))
-        except GeneralPositionError:
-            continue
+        _fill_sites(pts, dom, [(i, 0) for i in range(a + 1)], rng, n)
+        for j in range(b):
+            center = _rand_point(rng, n)
+            for i in range(a + 1):
+                base = pts[(i, j)]
+                _place(pts, dom, (i, j + 1), lambda: _toward(base, center, rng.randint(1, 9)), "line point")
         net = QNet(dom, n, pts)
-        if check_nondegenerate(net):
-            continue
-        if degenerate_transform(net, 1, "laplace") is not None:
-            return net
-    raise GeneralPositionError("could not build a Laplace-degenerate instance")
+        if check_nondegenerate(net) or degenerate_transform(net, 1, "laplace") is None:
+            return None
+        return net
+
+    return _retry(seed, 8, GeneralPositionError, "could not build a Laplace-degenerate instance", attempt)
 
 
 def random_goursat_net(a: int, b: int, n: int, seed: int) -> QNet:
@@ -239,37 +250,29 @@ def random_goursat_net(a: int, b: int, n: int, seed: int) -> QNet:
     """
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
-    for attempt in range(8):
-        rng = random.Random(_derive(seed, attempt))
+
+    def attempt(s: int, k: int) -> QNet | None:
+        rng = random.Random(s)
         dom = GridDomain(0, a, 0, b)
         pts: dict[Site, HPoint] = {}
-        try:
-            lines = [join([_rand_point(rng, n), _rand_point(rng, n)])]
-            if lines[0].projective_dim != 1:
-                continue
-            for _ in range(a):
-                apex = _point_on(lines[-1], rng)
-                nxt = join([apex, _rand_point(rng, n)])
-                if nxt.projective_dim != 1 or nxt == lines[-1]:
-                    raise GeneralPositionError("degenerate column line")
-                lines.append(nxt)
-            for i in range(a + 1):
-                for j in range(b + 1):
-                    for _ in range(RETRY_BUDGET):
-                        cand = _point_on(lines[i], rng)
-                        if _fill_ok(pts, dom, (i, j), cand):
-                            pts[(i, j)] = cand
-                            break
-                    else:
-                        raise GeneralPositionError("no column point at %s" % ((i, j),))
-        except GeneralPositionError:
-            continue
+        lines = [join([_rand_point(rng, n), _rand_point(rng, n)])]
+        if lines[0].projective_dim != 1:
+            return None
+        for _ in range(a):
+            apex = _point_on(lines[-1], rng)
+            nxt = join([apex, _rand_point(rng, n)])
+            if nxt.projective_dim != 1 or nxt == lines[-1]:
+                return None
+            lines.append(nxt)
+        for i in range(a + 1):
+            for j in range(b + 1):
+                _place(pts, dom, (i, j), lambda: _point_on(lines[i], rng), "column point")
         net = QNet(dom, n, pts)
-        if check_nondegenerate(net):
-            continue
-        if degenerate_transform(net, 1, "goursat") is not None:
-            return net
-    raise GeneralPositionError("could not build a Goursat-degenerate instance")
+        if check_nondegenerate(net) or degenerate_transform(net, 1, "goursat") is None:
+            return None
+        return net
+
+    return _retry(seed, 8, GeneralPositionError, "could not build a Goursat-degenerate instance", attempt)
 
 
 def _point_on(line: Subspace, rng: random.Random) -> HPoint:
@@ -306,37 +309,33 @@ class _LiftContext:
         except GeometryError as exc:
             raise ConstructionError(str(exc)) from exc
 
-    def add(self, site: Site, up_pt: HPoint, strict: bool = True) -> HPoint:
+    def add(self, site: Site, up_pt: HPoint, strict: bool = True) -> HPoint | None:
         """Register a new lifted point; returns its downstairs projection.
 
         With strict=True a point of the center or a non-degeneracy
-        violation raises (unique completions cannot retry); otherwise the
-        caller handles rejection.  Lifted points project to their points
-        downstairs, and projecting never raises rank, so the test
-        downstairs covers the lift too.
+        violation raises (unique completions cannot retry); otherwise it
+        returns None and the caller handles rejection.  Lifted points
+        project to their points downstairs, and projecting never raises
+        rank, so the test downstairs covers the lift too.
         """
         image = self.projector.apply(up_pt.coords)
         if not any(image):
             if strict:
                 raise ConstructionError("lift point has no projection")
-            raise _RejectChoice()
+            return None
         if any(image[self.n + 1 :]):
             raise ConstructionError("projected point leaves the embedded space")
         down = HPoint(image[: self.n + 1])
         if not _fill_ok(self.down, self.domain, site, down):
             if strict:
                 raise ConstructionError("completion at %s is degenerate" % (site,), site)
-            raise _RejectChoice()
+            return None
         self.down[site] = down
         self.up[site] = up_pt
         return down
 
     def net(self) -> QNet:
         return QNet(self.domain, self.n, self.down)
-
-
-class _RejectChoice(Exception):
-    pass
 
 
 def _bs_line(ctx: _LiftContext, i: int, j: int) -> Subspace:
@@ -385,6 +384,18 @@ def _line_point(line: Subspace, t) -> HPoint:
         return HPoint(g2)
     t = Fraction(t)
     return HPoint([t.denominator * a + t.numerator * b for a, b in zip(g1, g2)])
+
+
+def _add_on_line(
+    ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random, what: str, avoid: HPoint | None = None
+) -> None:
+    """Register at ``site`` the first of up to RETRY_BUDGET seeded points of
+    ``line``, other than ``avoid``, that the lift context accepts."""
+    for _ in range(RETRY_BUDGET):
+        cand = _line_point(line, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+        if cand != avoid and ctx.add(site, cand, strict=False) is not None:
+            return
+    raise GeneralPositionError("no %s at %s" % (what, site))
 
 
 def _require_sites(boundary: PartialNet, keep: Callable[[Site], bool], what: str) -> None:
@@ -456,17 +467,8 @@ def extend_bs_koenigs(
             line = _bs_line(ctx, i, j)
             if choices is not None and (i, j) in choices:
                 ctx.add((i, j), _line_point(line, choices[(i, j)]))
-                continue
-            for _ in range(RETRY_BUDGET):
-                t = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
-                cand = _line_point(line, t)
-                try:
-                    ctx.add((i, j), cand, strict=False)
-                    break
-                except _RejectChoice:
-                    continue
             else:
-                raise GeneralPositionError("no admissible choice at %s" % ((i, j),))
+                _add_on_line(ctx, (i, j), line, rng, "admissible choice")
     net = ctx.net()
     if not is_bs_koenigs(net):
         raise ConstructionError("extension failed the Koenigs product check")
@@ -492,22 +494,20 @@ def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
     """
     from .qnet import diagonal_intersection_net
 
-    for attempt in range(16):
-        try:
-            strips = random_bs_strips(a, b, n, _derive(seed, attempt))
-            net = extend_bs_koenigs(strips, seed=seed if attempt < 8 else _derive(seed, attempt))
-        except (ConstructionError, GeneralPositionError):
-            continue
+    def attempt(s: int, k: int) -> QNet | None:
+        net = extend_bs_koenigs(random_bs_strips(a, b, n, s), seed=seed if k < 8 else s)
         if not _first_transforms_generic(net):
-            continue
+            return None
         if a >= 1 and b >= 1:
             try:
                 if check_nondegenerate(diagonal_intersection_net(net)):
-                    continue
+                    return None
             except GeometryError:
-                continue
+                return None
         return net
-    raise GeneralPositionError("could not build a random Koenigs net (seed %r)" % seed)
+
+    message = "could not build a random Koenigs net (seed %r)" % seed
+    return _retry(seed, 16, (ConstructionError, GeneralPositionError), message, attempt)
 
 
 def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> None:
@@ -660,12 +660,9 @@ def bs_laplace_degenerate_m1(a: int, b: int, n: int, seed: int) -> QNet:
     per quad on the line forcing the transform-point repetition; from row
     2 on, that line and the Koenigs line intersect in the unique point.
     """
-    for attempt in range(8):
-        try:
-            return _bs_laplace_m1_attempt(a, b, n, _derive(seed, attempt))
-        except (ConstructionError, GeneralPositionError):
-            continue
-    raise GeneralPositionError("could not build an m=1 degenerate Koenigs net")
+    message = "could not build an m=1 degenerate Koenigs net"
+    attempt = lambda s, k: _bs_laplace_m1_attempt(a, b, n, s)
+    return _retry(seed, 8, (ConstructionError, GeneralPositionError), message, attempt)
 
 
 def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
@@ -677,29 +674,16 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
     boundary = PartialNet(dom, n, pts)
     validate_boundary(boundary)
     ctx = _LiftContext(boundary)
-    for i in range(2, a + 1):
-        z = _transform_point(ctx.up, (i - 2, 0), "forward")
-        line = join([ctx.up[(i, 0)], z])
-        if line.projective_dim != 1:
-            raise ConstructionError("degenerate constancy line at %s" % ((i, 1),), (i, 1))
-        for _ in range(RETRY_BUDGET):
-            cand = _line_point(line, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-            if cand == z:
-                continue
-            try:
-                ctx.add((i, 1), cand, strict=False)
-                break
-            except _RejectChoice:
-                continue
-        else:
-            raise GeneralPositionError("no admissible row-1 choice at %s" % ((i, 1),))
-    for j in range(2, b + 1):
+    for j in range(1, b + 1):
         for i in range(2, a + 1):
             z = _transform_point(ctx.up, (i - 2, j - 1), "forward")
-            cline = join([ctx.up[(i, j - 1)], z])
-            if cline.projective_dim != 1:
+            line = join([ctx.up[(i, j - 1)], z])
+            if line.projective_dim != 1:
                 raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
-            hit = meet(cline, _bs_line(ctx, i, j))
+            if j == 1:
+                _add_on_line(ctx, (i, 1), line, rng, "admissible row-1 choice", avoid=z)
+                continue
+            hit = meet(line, _bs_line(ctx, i, j))
             if hit.projective_dim != 0:
                 raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
             ctx.add((i, j), hit.point())
@@ -743,43 +727,29 @@ def double_boundary_of(base: QNet, m: int) -> PartialNet:
 
 
 def _double_m1_boundary(a: int, b: int, n: int, seed: int) -> PartialNet:
-    for attempt in range(8):
-        rng = random.Random(_derive(seed, attempt))
+    def attempt(s: int, k: int) -> PartialNet | None:
+        rng = random.Random(s)
         dom = GridDomain(0, a, 0, b)
         pts: dict[Site, HPoint] = {}
-        try:
-            _fill_sites(pts, dom, [(i, 0) for i in range(a + 1)], rng, n)
-            z0 = _rand_point(rng, n)
-            _fill_on_lines(pts, dom, [((i, 1), (i, 0)) for i in range(a + 1)], z0, rng)
-            w0 = line_meet(pts[(0, 0)], pts[(1, 0)], pts[(0, 1)], pts[(1, 1)])
-            if w0 is None:
-                continue
-            _fill_sites(pts, dom, [(0, j) for j in range(2, b + 1)], rng, n)
-            _fill_on_lines(pts, dom, [((1, j), (0, j)) for j in range(2, b + 1)], w0, rng)
-        except GeneralPositionError:
-            continue
+        _fill_sites(pts, dom, [(i, 0) for i in range(a + 1)], rng, n)
+        z0 = _rand_point(rng, n)
+        _fill_on_lines(pts, dom, [((i, 1), (i, 0)) for i in range(a + 1)], z0, rng)
+        w0 = line_meet(pts[(0, 0)], pts[(1, 0)], pts[(0, 1)], pts[(1, 1)])
+        if w0 is None:
+            return None
+        _fill_sites(pts, dom, [(0, j) for j in range(2, b + 1)], rng, n)
+        _fill_on_lines(pts, dom, [((1, j), (0, j)) for j in range(2, b + 1)], w0, rng)
         return PartialNet(dom, n, pts)
-    raise GeneralPositionError("could not build consistent m=1 strips")
+
+    return _retry(seed, 8, GeneralPositionError, "could not build consistent m=1 strips", attempt)
 
 
-def _fill_on_lines(
-    pts: dict[Site, HPoint],
-    dom: GridDomain,
-    targets: list[tuple[Site, Site]],
-    apex: HPoint,
-    rng: random.Random,
-) -> None:
-    """Place each target on the line through its base point and the apex."""
-    for target, base_site in targets:
-        base = pts[base_site]
-        for _ in range(RETRY_BUDGET):
-            mu = Fraction(rng.randint(1, 9), rng.randint(1, 4))
-            cand = HPoint([x + mu * z for x, z in zip(base.coords, apex.coords)])
-            if cand != apex and _fill_ok(pts, dom, target, cand):
-                pts[target] = cand
-                break
-        else:
-            raise GeneralPositionError("no line point at %s" % (target,))
+def _fill_on_lines(pts: dict[Site, HPoint], dom: GridDomain, targets: list, apex: HPoint, rng: random.Random) -> None:
+    """Place each (target, base) site pair's target on the line through the
+    base point and the apex."""
+    for target, base in targets:
+        draw = lambda: _toward(pts[base], apex, rng.randint(1, 9), rng.randint(1, 4))
+        _place(pts, dom, target, draw, "line point")
 
 
 def bs_goursat_net(m: int, a: int, b: int, seed: int) -> QNet:
@@ -793,12 +763,9 @@ def bs_goursat_net(m: int, a: int, b: int, seed: int) -> QNet:
     """
     if b < m + 2:
         raise ValueError("need at least m+2 rows of quads for the projection step")
-    for attempt in range(8):
-        try:
-            return _bs_goursat_attempt(m, a, b, _derive(seed, attempt))
-        except (ConstructionError, GeneralPositionError, GeometryError):
-            continue
-    raise GeneralPositionError("could not build a Goursat-degenerate Koenigs net")
+    errors = (ConstructionError, GeneralPositionError, GeometryError)
+    message = "could not build a Goursat-degenerate Koenigs net"
+    return _retry(seed, 8, errors, message, lambda s, k: _bs_goursat_attempt(m, a, b, s))
 
 
 def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:

@@ -27,15 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import (
-    ExistenceError,
-    GeometryError,
-    InvariantError,
-    RecurrenceSingularError,
-    UndefinedCrossRatioError,
-)
-from .linalg import det
-from .projective import INFINITY, HPoint, cross_ratio, join
+from .errors import ExistenceError, GeometryError, InvariantError, RecurrenceSingularError
+from .linalg import bareiss
+from .projective import join
 from .qnet import (
     GridDomain,
     QNet,
@@ -64,27 +58,20 @@ class InvariantField:
     k: dict[Site, Fraction] = field(default_factory=dict)
 
 
-def _ratio(net: QNet, kind: str, edge: Site, other: Site, far: Site, points) -> Fraction:
-    """cr(P, points[edge], Q, points[other]), P = net[edge], Q = net[far].
+def _ratio(net: QNet, kind: str, edge: Site, other: Site) -> Fraction:
+    """cr(P, X, Q, Y) on the edge from P = net[edge], with X and Y the
+    transform points of the faces ``edge`` and ``other`` on it.
 
-    With t, u the bracket tables of faces ``edge`` and ``other``, the
-    forward points are t[3] P + t[1] Q and u[2] P + u[0] Q, the backward
-    points -t[3] P + t[2] Q and u[1] P - u[0] Q, and cr(P, x1 P + y1 Q, Q,
-    x2 P + y2 Q) = y1 x2 / (x1 y2); ``cross_ratio`` without both tables."""
+    Both faces have transform points, so both have bracket tables t and u:
+    the forward points are t[3] P + t[1] Q and u[2] P + u[0] Q, the
+    backward points -t[3] P + t[2] Q and u[1] P - u[0] Q, and cr(P,
+    x1 P + y1 Q, Q, x2 P + y2 Q) = y1 x2 / (x1 y2)."""
     t, u = _net_brackets(net, edge), _net_brackets(net, other)
-    try:
-        if t is None or u is None:
-            value = cross_ratio(net[edge], points[edge], net[far], points[other])
-        else:
-            num, den = t[1 if kind == "H" else 2] * u[2 if kind == "H" else 1], t[3] * u[0]
-            if not den and not num:
-                raise UndefinedCrossRatioError("cross-ratio of the form 0/0")
-            value = Fraction(num, den) if den else INFINITY
-    except (GeometryError, UndefinedCrossRatioError) as exc:
-        raise InvariantError("%s%s undefined: %s" % (kind, edge, exc), edge) from exc
-    if value is INFINITY:
-        raise InvariantError("%s%s is infinite (degenerate net)" % (kind, edge), edge)
-    return value
+    num, den = t[1 if kind == "H" else 2] * u[2 if kind == "H" else 1], t[3] * u[0]
+    if not den:
+        why = "is infinite (degenerate net)" if num else "undefined: cross-ratio of the form 0/0"
+        raise InvariantError("%s%s %s" % (kind, edge, why), edge)
+    return Fraction(num, den)
 
 
 def laplace_invariants(net: QNet) -> InvariantField:
@@ -98,11 +85,11 @@ def laplace_invariants(net: QNet) -> InvariantField:
     for i in range(d.i_min + 1, d.i_max):
         for j in range(d.j_min, d.j_max):
             if (i, j) in fwd and (i - 1, j) in fwd:
-                out.h[(i, j)] = _ratio(net, "H", (i, j), (i - 1, j), (i, j + 1), fwd)
+                out.h[(i, j)] = _ratio(net, "H", (i, j), (i - 1, j))
     for i in range(d.i_min, d.i_max):
         for j in range(d.j_min + 1, d.j_max):
             if (i, j) in bwd and (i, j - 1) in bwd:
-                out.k[(i, j)] = _ratio(net, "K", (i, j), (i, j - 1), (i + 1, j), bwd)
+                out.k[(i, j)] = _ratio(net, "K", (i, j), (i, j - 1))
     return out
 
 
@@ -226,9 +213,8 @@ def six_point_conic_check(net: QNet, site: Site) -> bool:
 
     The six transform points around a face, three forward and three
     backward, all lie in the face plane; they lie on a common conic iff
-    the 6x6 coefficient determinant vanishes.  The plane is normalized to
-    its pivot chart before the system is built, so the determinant is
-    deterministic.
+    the 6x6 coefficient matrix, built in the plane's pivot chart, has
+    Bareiss rank below 6.
     """
     i, j = site
     fwd = transform_points(net, "forward")
@@ -245,7 +231,7 @@ def six_point_conic_check(net: QNet, site: Site) -> bool:
     for p in six:
         u, v, w = plane.point_coords(p)
         rows.append((u * u, u * v, u * w, v * v, v * w, w * w))
-    return det(rows) == 0
+    return len(bareiss(rows, 6)[0]) < 6
 
 
 def invariant_symmetry_check(net: QNet, m: int) -> bool:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -34,12 +33,13 @@ from .errors import (
     GeometryError,
     NotBSKoenigsError,
 )
-from .linalg import bareiss, cross3, det3, nullspace, primitive, reduce_row
+from .linalg import kernel, primitive, reduce_row
 from .projective import (
     HPoint,
     Projector,
     Quadric,
     Subspace,
+    _plane_brackets,
     join,
     meet,
     singular_locus,
@@ -153,33 +153,24 @@ def _forced_point(
     """The point x = sum l_k u_k of the plane of u_0, u_1, u_2 whose image
     sum l_k w_k (w_k the images of the u_k) is proportional to ``point``.
 
-    When the images span a plane, the l_k are 3x3 brackets of the images
-    and ``point`` in a pivot chart of that plane (Cramer's rule), and there
-    is no such x unless ``point`` lies in the plane.  The chart is columns
-    0, 1, 2 when the bracket of the images is nonzero there (the pivots
-    Bareiss would find), and otherwise the Bareiss pivots.  When the images
-    do not span a plane, the lifted plane meets the center, and x is the
-    meet of the line through ``point`` and the center with the lifted
-    plane.
+    With t the bracket table of w_0, w_1, w_2 and ``point`` q in a chart of
+    their plane (``projective._plane_brackets``), t[0] q = t[3] w_0 -
+    t[2] w_1 + t[1] w_2 (Cramer's rule), so l = (t[3], -t[2], t[1]); there
+    is no such x when q is off the plane of the images (no table).  When
+    t[0] = 0 the images do not span a plane, the lifted plane meets the
+    center, and x is the meet of the line through ``point`` and the center
+    with the lifted plane.
     """
-    ncols = len(point.coords)
-    if ncols >= 3 and det3(*images):
-        pivots = [0, 1, 2]
-    else:
-        pivots = bareiss(list(images), ncols)[0]
-    if len(pivots) != 3:
+    t = _plane_brackets(*images, point.coords)
+    if t is None:
+        raise GeometryError("lift meet at %s is not a single point" % (site,))
+    if not t[0]:
         pt = meet(join([point, center]), join(plane))
         if pt.projective_dim != 0:
             raise GeometryError("lift meet at %s is not a single point" % (site,))
         return pt.point()
-    a, b, c, q = ([v[k] for k in pivots] for v in (*images, point.coords))
-    n12, n20, n01 = cross3(b, c), cross3(c, a), cross3(a, b)
-    lam = [sum(x * y for x, y in zip(n, q)) for n in (n12, n20, n01)]
-    det = sum(x * y for x, y in zip(n01, c))
-    image = [sum(x * y for x, y in zip(lam, col)) for col in zip(*images)]
-    if image != [det * x for x in point.coords]:
-        raise GeometryError("lift meet at %s is not a single point" % (site,))
-    return HPoint([sum(x * y for x, y in zip(lam, col)) for col in zip(*(u.coords for u in plane))])
+    u0, u1, u2 = (u.coords for u in plane)
+    return HPoint([t[3] * x - t[2] * y + t[1] * z for x, y, z in zip(u0, u1, u2)])
 
 
 def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
@@ -308,8 +299,8 @@ def hyperplane_pair_quadric(u1: Subspace, u2: Subspace) -> Quadric:
     return Quadric(form)
 
 
-def _normal(hyperplane: Subspace) -> tuple[Fraction, ...]:
-    return nullspace(hyperplane.rows, hyperplane.ambient_dim + 1)[0]
+def _normal(hyperplane: Subspace) -> tuple[int, ...]:
+    return kernel(hyperplane.rows, hyperplane.ambient_dim + 1)[0][0]
 
 
 def quadric_conjugacy_check(net: QNet, quadric: Quadric) -> bool:

@@ -12,8 +12,10 @@ The kernel works on rows of Python ``int``s.  Two eliminations cover it:
   form is needed.
 
 Both choose the first nonzero entry as pivot, so every routine here is
-deterministic.  ``rref``, ``nullspace`` and ``det`` keep ``Fraction``
-results at the boundary: ``rref`` returns the unit-pivot form over Q.
+deterministic.  ``kernel`` gives the right kernel in the same canonical
+integer form.  Only the public wrappers ``rref``, ``nullspace`` and
+``det`` take or return ``Fraction`` matrices, for callers working over Q:
+``rref`` and ``nullspace`` return unit-pivot rows.
 
 Closed form first.  Most eliminations in the kernel are joins of one to
 three points.  When k <= 3 rows have a nonzero leading k x k minor M
@@ -30,18 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
 IntRow = tuple[int, ...]
 
-ZERO = Fraction(0)
 _INT = frozenset((int,))
-
-
-def as_row(values: Iterable) -> Row:
-    return tuple(Fraction(v) for v in values)
 
 
 def primitive(vec: Sequence) -> IntRow:
@@ -254,12 +251,13 @@ def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
     return len(bareiss(_int_rows(rows), ncols)[0])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
-    """Canonical (RREF) basis of the right kernel ``{x : M x = 0}``."""
-    red, pivots = echelon(_int_rows(rows), ncols)
+def kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
+    """The right kernel {x : M x = 0} of integer rows in canonical integer
+    echelon form (see ``echelon``), with its pivot columns."""
+    red, pivots = echelon(rows, ncols)
     scale = lcm(*(row[c] for row, c in zip(red, pivots)))
     pivot_set = set(pivots)
-    kernel = []
+    basis = []
     for f in range(ncols):
         if f in pivot_set:
             continue
@@ -267,8 +265,13 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
         v[f] = scale
         for row, c in zip(red, pivots):
             v[c] = -row[f] * (scale // row[c])
-        kernel.append(v)
-    return unit_rows(*echelon(kernel, ncols))
+        basis.append(v)
+    return echelon(basis, ncols)
+
+
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
+    """Canonical (RREF) basis of the right kernel ``{x : M x = 0}``."""
+    return unit_rows(*kernel(_int_rows(rows), ncols))
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -285,14 +288,6 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         work.append([v.numerator * (d // v.denominator) for v in vals])
     pivots, swaps = bareiss(work, n)
     if len(pivots) < n:
-        return ZERO
+        return Fraction(0)
     value = work[n - 1][n - 1] if n else 1
     return Fraction(-value if swaps % 2 else value, den)
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> Row:
-    return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in rows)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)

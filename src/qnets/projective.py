@@ -16,15 +16,16 @@ Conventions:
   charts differ by one common nonzero factor, and both ratios have as many
   minors above the fraction bar as below.
 
-Certificate first, Bareiss fallback.  The small rank questions behind the
-Q-net predicates (do 2 to 4 points coincide, lie on a line, span a plane;
-where do two coplanar lines meet) are decided from closed-form minors in
-the leading coordinates: one nonzero minor proves a lower bound on the
-rank, and a coordinatewise Cramer identity decides whether one more point
-lies in the span it certifies.  Only when every certificate minor vanishes
-does the predicate fall back to fraction-free elimination
-(``linalg.bareiss``).  Both routes give the same answer, so outputs do not
-depend on which one ran.
+One plane-bracket table.  Every question about four points of a face
+(are they coplanar, where do two of their lines meet, which triples span
+the plane, which ratios do they cut on an edge) is read off one table, the
+brackets [pqr], [pqs], [prs], [qrs] of ``_plane_brackets`` in a chart of
+their plane: columns 0, 1, 2 when a bracket is nonzero there, where a
+coordinatewise Cramer identity decides coplanarity, and otherwise the
+pivot columns of their fraction-free elimination (``linalg.bareiss``).
+Brackets in two charts differ by one common nonzero factor, so points and
+ratios do not depend on the chart.  Other rank questions take a
+closed-form minor when it is nonzero and the Bareiss rank otherwise.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ from .errors import (
 from .linalg import (
     IntRow,
     Matrix,
-    as_row,
     bareiss,
+    cross3,
     det3,
-    dot,
     echelon,
-    mat_vec,
-    nullspace,
+    kernel,
     primitive,
     reduce_row,
     unit_rows,
@@ -152,10 +151,6 @@ class Subspace:
         if any(p.ambient_dim != n for p in points):
             raise DimensionMismatchError("points in different ambient spaces")
         return cls(n, *echelon([p.coords for p in points], n + 1))
-
-    @classmethod
-    def from_point(cls, point: HPoint) -> "Subspace":
-        return cls.from_points([point])
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "Subspace":
@@ -284,88 +279,79 @@ def _same_space(coords: Sequence[IntRow], what: str) -> None:
         raise DimensionMismatchError("%s of points in different ambient spaces" % what)
 
 
-def _in_plane(
-    a: Sequence[int], b: Sequence[int], c: Sequence[int], d: Sequence[int], abc: int, abd: int
-) -> bool:
-    """Whether d lies in the span of a, b, c, given their minors
-    abc = [abc] != 0 and abd = [abd].
+def _plane_brackets(
+    p: Sequence[int], q: Sequence[int], r: Sequence[int], s: Sequence[int]
+) -> tuple[int, int, int, int] | None:
+    """The brackets ([pqr], [pqs], [prs], [qrs]) of four integer vectors of
+    one length in a chart of their plane, or None when they are not
+    coplanar; all zero when they span less than a plane.
 
-    By Cramer's rule in columns 0, 1, 2, d is in the span exactly when
-    [abc] d = [dbc] a + [adc] b + [abd] c in every coordinate.  The
-    identity holds in columns 0, 1, 2 by construction, so only the later
-    columns are tested.
+    The identity [qrs] p - [prs] q + [pqs] r - [pqr] s = 0 holds in the
+    chart's columns and is a 4x4 minor in every other one.  The chart is
+    columns 0, 1, 2 when a bracket is nonzero there, and then the vectors
+    are coplanar exactly when the identity holds in the later columns
+    (Cramer's rule).  Otherwise it is the pivot columns of the Bareiss
+    elimination of the four, which is also their rank.
     """
-    dbc, adc = det3(d, b, c), det3(a, d, c)
-    for k in range(3, len(d)):
-        if abc * d[k] != dbc * a[k] + adc * b[k] + abd * c[k]:
-            return False
-    return True
+    if len(p) >= 3:
+        pq, rs = cross3(p, q), cross3(r, s)
+        b = (
+            pq[0] * r[0] + pq[1] * r[1] + pq[2] * r[2],
+            pq[0] * s[0] + pq[1] * s[1] + pq[2] * s[2],
+            rs[0] * p[0] + rs[1] * p[1] + rs[2] * p[2],
+            rs[0] * q[0] + rs[1] * q[1] + rs[2] * q[2],
+        )
+        if any(b):
+            pqr, pqs, prs, qrs = b
+            for k in range(3, len(p)):
+                if qrs * p[k] - prs * q[k] + pqs * r[k] != pqr * s[k]:
+                    return None
+            return b
+    pivots = bareiss([p, q, r, s], len(p))[0]
+    if len(pivots) != 3:
+        return None if len(pivots) == 4 else (0, 0, 0, 0)
+    p, q, r, s = ([v[k] for k in pivots] for v in (p, q, r, s))
+    return det3(p, q, r), det3(p, q, s), det3(p, r, s), det3(q, r, s)
 
 
 def line_meet(a: HPoint, b: HPoint, c: HPoint, d: HPoint) -> HPoint | None:
     """The point where the line ab meets the line cd, or None when the four
     points do not span a plane (skew or coincident lines).
 
-    Grassmann-Cayley: meet(ab, cd) = [a b d] c - [a b c] d, the brackets
-    taken as 3x3 determinants in any chart of three coordinates onto which
-    the plane projects isomorphically.  Brackets of points of the plane in
-    two such charts differ by one common nonzero factor, so the point does
-    not depend on the chart.  The chart is columns 0, 1, 2 when [abc] or
-    [abd] is nonzero there, which also certifies the plane (the fourth
-    point is tested against it by Cramer's rule), and otherwise the pivot
-    columns of the Bareiss elimination of the four points.  The two pairs
-    must be distinct points.
+    Grassmann-Cayley: meet(ab, cd) = [abd] c - [abc] d, the brackets taken
+    in a chart of the plane (``_plane_brackets``).  The two pairs must be
+    distinct points.
     """
-    p, q, r, t = a.coords, b.coords, c.coords, d.coords
-    _same_space((p, q, r, t), "meet of lines")
-    abc = abd = 0
-    if len(p) >= 3:
-        abc, abd = det3(p, q, r), det3(p, q, t)
-    if abc:
-        if not _in_plane(p, q, r, t, abc, abd):
-            return None
-    elif abd:
-        if not _in_plane(p, q, t, r, abd, abc):
-            return None
-    else:
-        ncols = len(a.coords)
-        pivots = bareiss([a.coords, b.coords, c.coords, d.coords], ncols)[0]
-        if len(pivots) != 3:
-            return None
-        i, j, k = pivots
-        ai, aj, ak = a.coords[i], a.coords[j], a.coords[k]
-        bi, bj, bk = b.coords[i], b.coords[j], b.coords[k]
-        ni, nj, nk = aj * bk - ak * bj, ak * bi - ai * bk, ai * bj - aj * bi
-        abc = ni * c.coords[i] + nj * c.coords[j] + nk * c.coords[k]
-        abd = ni * d.coords[i] + nj * d.coords[j] + nk * d.coords[k]
-    x = [abd * y - abc * z for y, z in zip(c.coords, d.coords)]
-    if not any(x):
+    _same_space((a.coords, b.coords, c.coords, d.coords), "meet of lines")
+    t = _plane_brackets(a.coords, b.coords, c.coords, d.coords)
+    if t is None:
         return None
-    return HPoint(x)
+    x = [t[1] * y - t[0] * z for y, z in zip(c.coords, d.coords)]
+    return HPoint(x) if any(x) else None
 
 
 def span_dim(points: Sequence[HPoint]) -> int:
     """Projective dimension of the join of points (cheaper than join when
     no canonical basis is needed).
 
-    Two points span a line exactly when their canonical coordinates differ.
-    Three or four points with a nonzero minor [abc] in columns 0, 1, 2 span
-    at least a plane, and the fourth is tested against it by Cramer's rule.
-    Rank is the same in every chart, so the answer does not depend on the
-    columns the minor is taken in; without such a minor it is the Bareiss
-    rank.
+    Two points span a line exactly when their canonical coordinates differ,
+    three with a nonzero minor in columns 0, 1, 2 span a plane, and four
+    are decided by their bracket table while it is not all zero.  Every
+    other case is the Bareiss rank.
     """
     coords = [p.coords for p in points]
     _same_space(coords, "span")
-    if len(coords) == 2:
+    k = len(coords)
+    if k == 2:
         return int(coords[0] != coords[1])
-    if 3 <= len(coords) <= 4 and len(coords[0]) >= 3:
-        a, b, c = coords[:3]
-        abc = det3(a, b, c)
-        if abc:
-            if len(coords) == 3:
-                return 2
-            return 2 if _in_plane(a, b, c, coords[3], abc, det3(a, b, coords[3])) else 3
+    if k == 3 and len(coords[0]) >= 3 and det3(*coords):
+        return 2
+    if k == 4:
+        t = _plane_brackets(*coords)
+        if t is None:
+            return 3
+        if any(t):
+            return 2
     return len(bareiss(coords, len(coords[0]))[0]) - 1
 
 
@@ -520,38 +506,41 @@ def central_projection(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:
 class Quadric:
     """A quadric as a symmetric bilinear form up to scale.
 
-    The stored matrix is canonical: scaled so its first nonzero entry is 1,
-    making equality of quadrics bitwise.
+    The stored matrix is canonical: the form scaled to primitive integers,
+    first nonzero entry positive, making equality of quadrics bitwise.
     """
 
     __slots__ = ("form",)
 
     def __init__(self, form: Sequence[Sequence]):
-        rows = tuple(as_row(r) for r in form)
+        rows = [tuple(r) for r in form]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("quadric form must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("quadric form must be exactly symmetric")
-        lead = next((x for row in rows for x in row if x != 0), None)
-        if lead is None:
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i + 1, n)):
+            raise ValueError("quadric form must be exactly symmetric")
+        flat = [x for r in rows for x in r]
+        if not any(flat):
             raise ValueError("quadric form must be nonzero")
-        if lead != 1:
-            rows = tuple(tuple(x / lead for x in row) for row in rows)
-        object.__setattr__(self, "form", rows)
+        flat = primitive(flat)
+        object.__setattr__(self, "form", tuple(flat[k : k + n] for k in range(0, n * n, n)))
 
     @property
     def ambient_dim(self) -> int:
         return len(self.form) - 1
 
-    def bilinear(self, p: HPoint, q: HPoint) -> Fraction:
-        if p.ambient_dim != self.ambient_dim or q.ambient_dim != self.ambient_dim:
+    def _image(self, p: HPoint) -> list[int]:
+        """The form times a point's coordinates."""
+        if p.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("point does not match quadric dimension")
-        return dot(mat_vec(self.form, p.coords), q.coords)
+        return [sum(map(mul, row, p.coords)) for row in self.form]
 
-    def evaluate(self, p: HPoint) -> Fraction:
+    def bilinear(self, p: HPoint, q: HPoint) -> int:
+        if q.ambient_dim != self.ambient_dim:
+            raise DimensionMismatchError("point does not match quadric dimension")
+        return sum(map(mul, self._image(p), q.coords))
+
+    def evaluate(self, p: HPoint) -> int:
         return self.bilinear(p, p)
 
     def contains_point(self, p: HPoint) -> bool:
@@ -575,13 +564,11 @@ def polar(q: Quadric, p: HPoint) -> Subspace:
 
     A hyperplane for non-singular p, the whole space for singular p.
     """
-    if p.ambient_dim != q.ambient_dim:
-        raise DimensionMismatchError("point does not match quadric dimension")
-    w = mat_vec(q.form, p.coords)
+    w = q._image(p)
     n = q.ambient_dim
-    if all(x == 0 for x in w):
+    if not any(w):
         return Subspace.full(n)
-    return Subspace.from_rows(nullspace([w], n + 1), n)
+    return Subspace(n, *kernel([w], n + 1))
 
 
 def is_conjugate(q: Quadric, p1: HPoint, p2: HPoint) -> bool:
@@ -592,12 +579,12 @@ def is_conjugate(q: Quadric, p1: HPoint, p2: HPoint) -> bool:
 def singular_locus(q: Quadric) -> Subspace:
     """Projectivized kernel of the form matrix (empty iff non-degenerate)."""
     n = q.ambient_dim
-    return Subspace.from_rows(nullspace(q.form, n + 1), n)
+    return Subspace(n, *kernel(q.form, n + 1))
 
 
 def transform_point(matrix: Sequence[Sequence], p: HPoint) -> HPoint:
     """Image of a point under the projective map induced by a matrix."""
-    image = mat_vec([as_row(r) for r in matrix], p.coords)
-    if all(x == 0 for x in image):
+    image = [sum(map(mul, row, p.coords)) for row in matrix]
+    if not any(image):
         raise GeometryError("matrix maps the point to zero")
     return HPoint(image)

@@ -8,19 +8,16 @@ the mutual-inverse identity  L- L+ P (i,j) = P(i+1,j+1)  holds literally
 on sites.
 
 Every face predicate reads one bracket table per face: with corners
-p0 = P(i,j), p1 = P(i+1,j), p2 = P(i,j+1), p3 = P(i+1,j+1) and [xyz] the
-3x3 minor of px, py, pz in columns 0, 1, 2, the identity  [123] p0 -
-[023] p1 + [013] p2 - [012] p3 = 0  holds in columns 0, 1, 2 and is a 4x4
-minor in each later one, so with a bracket nonzero it holds everywhere
-exactly when the face is planar (Cramer's rule), and columns 0, 1, 2 then
-chart the face plane.  There the forward point is [023] p1 + [012] p3,
-the backward point [013] p2 - [012] p3, the diagonal point [013] p2 -
-[023] p1 (what ``line_meet`` computes in that chart), a triple spans a
-plane exactly when its bracket is nonzero, and H and K are ratios of
-bracket products.  Canonical points do not depend on the scale of their
-vectors and ratios are exact, so outputs equal those of ``line_meet``,
-``span_dim`` and ``cross_ratio``, which still decide faces without a
-table (all brackets zero, fewer than three coordinates, or not planar).
+p0 = P(i,j), p1 = P(i+1,j), p2 = P(i,j+1), p3 = P(i+1,j+1), the table
+([012], [013], [023], [123]) of ``projective._plane_brackets`` holds the
+3x3 brackets [xyz] of px, py, pz in a chart of the face plane, and is
+None when the face is not planar.  The forward point is [023] p1 +
+[012] p3, the backward point [013] p2 - [012] p3, the diagonal point
+[013] p2 - [023] p1, a triple spans a plane exactly when its bracket is
+nonzero, and H and K are ratios of bracket products.  A face spanning
+less than a plane has an all-zero table: no transform or diagonal point,
+and every triple degenerate.  Canonical points do not depend on the scale
+of their vectors and ratios are exact, so no output depends on the chart.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from typing import Iterator, Literal, Mapping, Sequence
 
 from .errors import DimensionMismatchError, DegenerateIntersectionError, GeometryError
 from .linalg import det3
-from .projective import HPoint, Subspace, join, line_meet, meet, span_dim, transform_point
+from .projective import HPoint, Subspace, _plane_brackets, join, meet, span_dim, transform_point
 
 Direction = Literal["forward", "backward"]
 Site = tuple[int, int]
@@ -104,15 +101,25 @@ class QNet:
     __slots__ = ("domain", "ambient_dim", "_points", "_memo")
 
     def __init__(self, domain: GridDomain, ambient_dim: int, points: Mapping[Site, HPoint]):
-        missing = [s for s in domain.sites() if s not in points]
+        own: dict[Site, HPoint] = {}
+        missing: list[Site] = []
+        wrong = None
+        size = ambient_dim + 1
+        for site in domain.sites():
+            p = points.get(site)
+            if p is None:
+                missing.append(site)
+                continue
+            if wrong is None and len(p.coords) != size:
+                wrong = site
+            own[site] = p
         if missing:
             raise ValueError("missing net points at %s" % (missing[:4],))
-        for site in domain.sites():
-            if points[site].ambient_dim != ambient_dim:
-                raise DimensionMismatchError("point at %s has wrong ambient dimension" % (site,))
+        if wrong is not None:
+            raise DimensionMismatchError("point at %s has wrong ambient dimension" % (wrong,))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_points", {s: points[s] for s in domain.sites()})
+        object.__setattr__(self, "_points", own)
         object.__setattr__(self, "_memo", {"brackets": {}})
 
     def point(self, i: int, j: int) -> HPoint:
@@ -191,18 +198,13 @@ def face_sites(face: Site) -> tuple[Site, Site, Site, Site]:
 
 
 def _brackets(points: Mapping[Site, HPoint], face: Site, cache: dict) -> tuple | None:
-    """The bracket table ([012], [013], [023], [123]) of a face, or None
-    (see the module docstring), kept in ``cache`` by face."""
+    """The bracket table ([012], [013], [023], [123]) of a face (see the
+    module docstring), None also when its corners differ in length, kept in
+    ``cache`` by face."""
     if face in cache:
         return cache[face]
     p0, p1, p2, p3 = (points[s].coords for s in face_sites(face))
-    table = None
-    if 3 <= len(p0) == len(p1) == len(p2) == len(p3):
-        b = det3(p0, p1, p2), det3(p0, p1, p3), det3(p0, p2, p3), det3(p1, p2, p3)
-        if any(b) and all(
-            b[3] * p0[k] - b[2] * p1[k] + b[1] * p2[k] == b[0] * p3[k] for k in range(3, len(p0))
-        ):
-            table = b
+    table = _plane_brackets(p0, p1, p2, p3) if len(p0) == len(p1) == len(p2) == len(p3) else None
     cache[face] = table
     return table
 
@@ -218,11 +220,7 @@ def _combine(u: int, p: HPoint, v: int, q: HPoint) -> HPoint | None:
 
 def validate_qnet(net: QNet) -> list[Site]:
     """Faces whose four points do not lie in a plane (empty list = Q-net)."""
-    bad = []
-    for face in net.domain.faces():
-        if _net_brackets(net, face) is None and span_dim([net[s] for s in face_sites(face)]) > 2:
-            bad.append(face)
-    return bad
+    return [face for face in net.domain.faces() if _net_brackets(net, face) is None]
 
 
 def _spans_plane(a: HPoint, b: HPoint, c: HPoint) -> bool:
@@ -308,7 +306,7 @@ def _face_transform_point(
     points: Mapping[Site, HPoint], face: Site, direction: Direction, cache: dict | None = None
 ) -> HPoint:
     """Laplace transform point of one face of a net or of partial data,
-    from the face's bracket table when it has one."""
+    from the face's bracket table."""
     i, j = face
     if direction == "forward":
         e1, e2 = ((i, j), (i, j + 1)), ((i + 1, j), (i + 1, j + 1))
@@ -322,9 +320,8 @@ def _face_transform_point(
             "Laplace %s transform undefined on face %s: %s" % (direction, face, exc)
         ) from exc
     t = _brackets(points, face, {} if cache is None else cache)
-    if t is None:
-        pt = line_meet(points[e1[0]], points[e1[1]], points[e2[0]], points[e2[1]])
-    else:
+    pt = None
+    if t is not None:
         u, v = (t[2], t[0]) if direction == "forward" else (t[1], -t[0])
         pt = _combine(u, points[e2[0]], v, points[e2[1]])
     if pt is None:
@@ -533,10 +530,7 @@ def diagonal_intersection_net(net: QNet) -> QNet:
         _check_edge(net, (i, j), (i + 1, j + 1))
         _check_edge(net, (i + 1, j), (i, j + 1))
         t = _net_brackets(net, face)
-        if t is None:
-            x = line_meet(net[(i, j)], net[(i + 1, j + 1)], net[(i + 1, j)], net[(i, j + 1)])
-        else:
-            x = _combine(t[1], net[(i, j + 1)], -t[2], net[(i + 1, j)])
+        x = None if t is None else _combine(t[1], net[(i, j + 1)], -t[2], net[(i + 1, j)])
         if x is None:
             raise GeometryError("diagonals of face %s do not meet in a point" % (face,))
         pts[face] = x

@@ -195,36 +195,26 @@ def suite_symmetry(
 def suite_quadric(seeds: int) -> list[PropertyResult]:
     conj = PropertyResult("quadric/conjugacy-agreement")
     sing = PropertyResult("quadric/singular-point-checks")
+
+    def on_lifts(s: int, shapes, check) -> bool:
+        """``check(lifted, m)`` on the lift of each seeded instance of shape
+        (m, a, b, n): a random Q-net for m = 1, a BS-Koenigs net else."""
+        ok = True
+        for m, a, b, n in shapes:
+            base = construct.random_qnet(a, b, n, s) if m == 1 else construct.random_bs_koenigs(a, b, n, s)
+            ok = check(embed_and_lift(base, s).lifted, m) and ok
+        return ok
+
+    def conjugacy(lifted: QNet, m: int) -> bool:
+        return quadric_conjugacy_check(lifted, koenigs_hyperplanes(lifted).quadric)
+
+    def singular(lifted: QNet, m: int) -> bool:
+        report = singular_point_checks(lifted, m)
+        return report.ok and report.forward_nonsingular and report.backward_nonsingular
+
     for s in range(seeds):
-        def check_conj(s=s):
-            ok = True
-            for m, a, b, n in ((1, 1, 1, 2), (2, 2, 2, 3)):
-                base = (
-                    construct.random_qnet(a, b, n, s)
-                    if m == 1
-                    else construct.random_bs_koenigs(a, b, n, s)
-                )
-                lifted = embed_and_lift(base, s).lifted
-                quad = koenigs_hyperplanes(lifted).quadric
-                ok = ok and quadric_conjugacy_check(lifted, quad)
-            return ok
-
-        _run(conj, "seed %d" % s, check_conj)
-
-        def check_sing(s=s):
-            ok = True
-            for m, a, b, n in ((1, 1, 2, 2), (2, 2, 3, 3)):
-                base = (
-                    construct.random_qnet(a, b, n, s)
-                    if m == 1
-                    else construct.random_bs_koenigs(a, b, n, s)
-                )
-                lifted = embed_and_lift(base, s).lifted
-                report = singular_point_checks(lifted, m)
-                ok = ok and report.ok and report.forward_nonsingular and report.backward_nonsingular
-            return ok
-
-        _run(sing, "seed %d" % s, check_sing)
+        _run(conj, "seed %d" % s, lambda s=s: on_lifts(s, ((1, 1, 1, 2), (2, 2, 2, 3)), conjugacy))
+        _run(sing, "seed %d" % s, lambda s=s: on_lifts(s, ((1, 1, 2, 2), (2, 2, 3, 3)), singular))
     return [conj, sing]
 
 

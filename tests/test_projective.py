@@ -25,7 +25,7 @@ from qnets import (
 )
 from qnets.errors import DimensionMismatchError, ProjectionUndefinedError, QnetsError
 from qnets.lifts import hyperplane_pair_quadric
-from qnets.projective import Projector, line_meet, span_dim, supplementary, transform_point
+from qnets.projective import Projector, _plane_brackets, line_meet, span_dim, supplementary, transform_point
 from helpers import (
     oracle_rank,
     random_collinear,
@@ -271,6 +271,66 @@ class TestRankCertificates:
         rng = random.Random(seed)
         for zeros in range(min(3, n) + 1):
             self._agree(_configuration(rng, n, rank, zeros))
+
+
+class TestPlaneBrackets:
+    """``_plane_brackets`` against the rank oracle: None exactly at rank 4,
+    all zero exactly at rank 2 or less, and otherwise a table for which the
+    Cramer identity holds in every coordinate and which is proportional to
+    the table of the same vectors behind three zero columns (where every
+    bracket in columns 0, 1, 2 vanishes and the pivot chart is taken)."""
+
+    @staticmethod
+    def _check(vecs):
+        table = _plane_brackets(*vecs)
+        rank = oracle_rank(vecs)
+        assert (table is None) == (rank == 4)
+        if table is None:
+            return
+        assert (not any(table)) == (rank <= 2)
+        p, q, r, s = vecs
+        for k in range(len(p)):
+            assert table[3] * p[k] - table[2] * q[k] + table[1] * r[k] - table[0] * s[k] == 0
+        padded = _plane_brackets(*((0, 0, 0) + tuple(v) for v in vecs))
+        assert padded is not None
+        for a in range(4):
+            for b in range(4):
+                assert table[a] * padded[b] == table[b] * padded[a]
+        assert any(table) == any(padded)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_seeded_configurations(self, n):
+        rng = random.Random(700 + n)
+        seen = set()
+        for rank in range(1, 5):
+            for zeros in range(min(3, n) + 1):
+                for _ in range(40):
+                    vecs = [p.coords for p in _configuration(rng, n, rank, zeros)[:4]]
+                    self._check(vecs)
+                    seen.add((oracle_rank(vecs), vecs[0][:3] == vecs[1][:3] == (0, 0, 0)))
+        if n == 9:
+            assert {(r, z) for r in (1, 2, 3, 4) for z in (False, True)} <= seen
+
+    def test_named_cases(self):
+        cases = [
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],  # rank 4
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0)],  # rank 3, [pqr] = 0
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1), (0, 0, 0, 1)],  # [pqr] = [pqs] = 0 in 0..2
+            [(0, 0, 0, 1, 0), (0, 0, 0, 1, 2), (0, 0, 1, 2, 1), (0, 0, 0, 0, 1)],  # rank 3, zero 0..1
+            [(1, 2), (2, 1), (1, 1), (3, -1)],  # RP^1
+            [(1, 2, 3), (2, 4, 6), (1, 2, 3), (3, 6, 9)],  # one point
+        ]
+        for vecs in cases:
+            self._check(vecs)
+        assert _plane_brackets(*cases[0]) is None
+        assert _plane_brackets(*cases[4]) == (0, 0, 0, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 3, 9]), st.integers(1, 4), st.integers(0, 2**32))
+    def test_property(self, n, rank, seed):
+        rng = random.Random(seed)
+        for zeros in range(min(3, n) + 1):
+            self._check([p.coords for p in _configuration(rng, n, rank, zeros)[:4]])
 
 
 class TestMixedAmbientSpaces:
