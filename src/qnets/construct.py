@@ -33,8 +33,8 @@ from math import gcd
 from typing import Callable, Mapping
 
 from .errors import ConstructionError, GeneralPositionError, GeometryError
-from .invariants import is_bs_koenigs
-from .lifts import RETRY_BUDGET, _sampled_projector, lift_partial
+from .invariants import _bs_koenigs_at, _ratio, is_bs_koenigs
+from .lifts import RETRY_BUDGET, _sampled_projector, embed_and_lift, lift_partial
 from .linalg import bareiss, reduce_row
 from .projective import (
     HPoint,
@@ -56,8 +56,12 @@ from .qnet import (
     _face_transform_point,
     _spans_plane,
     check_nondegenerate,
+    column_space_meet,
     degenerate_transform,
+    diagonal_intersection_net,
     face_sites,
+    laplace_backward,
+    laplace_forward,
     laplace_iterate,
     validate_qnet,
 )
@@ -183,8 +187,6 @@ def _first_transforms_generic(net: QNet) -> bool:
     the composites and second transforms are defined too."""
     if net.domain.width_i < 1 or net.domain.width_j < 1:
         return True
-    from .qnet import laplace_backward, laplace_forward
-
     try:
         fwd = laplace_forward(net)
         bwd = laplace_backward(net)
@@ -407,7 +409,11 @@ def _require_sites(boundary: PartialNet, keep: Callable[[Site], bool], what: str
 def validate_boundary(boundary: PartialNet) -> None:
     """Eager boundary checks: planarity and non-degeneracy of every fully
     given face, and the Koenigs product condition on every complete 3x3
-    subwindow of the data."""
+    subwindow of the data.
+
+    The product is read off the face tables: every face of a complete
+    window passed both checks first, so its four brackets are nonzero and
+    H and K are defined on all of the window's inner edges."""
     pts = boundary.points
     dom = boundary.domain
     tables: dict = {}
@@ -425,15 +431,10 @@ def validate_boundary(boundary: PartialNet) -> None:
             raise ConstructionError("boundary triple %s is collinear" % (triple,), triple[0])
     for p in range(dom.i_min, dom.i_max - 1):
         for q in range(dom.j_min, dom.j_max - 1):
-            window = [(p + di, q + dj) for dj in range(3) for di in range(3)]
-            if all(s in pts for s in window):
-                sub = QNet(
-                    GridDomain(p, p + 2, q, q + 2),
-                    boundary.ambient_dim,
-                    {s: pts[s] for s in window},
-                )
-                sub._memo["brackets"] = tables  # its faces are faces of the data
-                if not is_bs_koenigs(sub):
+            if all((p + di, q + dj) in pts for dj in range(3) for di in range(3)):
+                h = {(p + 1, l): _ratio("H", (p + 1, l), tables[(p + 1, l)], tables[(p, l)]) for l in (q, q + 1)}
+                k = {(l, q + 1): _ratio("K", (l, q + 1), tables[(l, q + 1)], tables[(l, q)]) for l in (p, p + 1)}
+                if not _bs_koenigs_at(h, k, (p + 1, q)):
                     raise ConstructionError(
                         "boundary window at (%d,%d) violates the Koenigs condition" % (p, q),
                         (p, q),
@@ -492,7 +493,6 @@ def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
     caller's seed, so a degenerate choice on the admissible lines can repeat
     in all of them; the eight after that also draw a fresh extension seed.
     """
-    from .qnet import diagonal_intersection_net
 
     def attempt(s: int, k: int) -> QNet | None:
         net = extend_bs_koenigs(random_bs_strips(a, b, n, s), seed=seed if k < 8 else s)
@@ -510,29 +510,39 @@ def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
     return _retry(seed, 16, (ConstructionError, GeneralPositionError), message, attempt)
 
 
-def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> None:
-    """Fill a site so that the m-fold forward transform of the window ending
-    there repeats its left neighbour: intersect the admissible line with the
-    m-space joined by the window transform point and the new column.
+def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> tuple[HPoint, Subspace]:
+    """The lifted m-fold forward transform point z of the Sigma_{m,m} window
+    left of ``site`` (the meet of its column joins) and the m-space joined
+    by z and the m points below ``site``: the window ending at ``site`` has
+    transform z exactly when the point there lies in that space.
 
-    Transposed, the m-fold backward transform repeats its lower neighbour
-    (the admissible line is symmetric under transposition)."""
+    Transposed, rows and columns swap: the m-fold backward transform."""
 
     def at(a: int, b: int) -> Site:
         return (b, a) if transposed else (a, b)
 
     i, j = at(*site)
     p, q = i - m - 1, j - m
-    up = ctx.up
-    z = join([up[at(p, l)] for l in range(q, q + m + 1)])
-    for k in range(p + 1, p + m + 1):
-        z = meet(z, join([up[at(k, l)] for l in range(q, q + m + 1)]))
+    window = GridDomain(p, p + m, q, q + m)
+    big = ctx.domain.width_i + ctx.domain.width_j
+    z = column_space_meet(QNet(window, big, {s: ctx.up[at(*s)] for s in window.sites()}))
     if z.projective_dim != 0:
         raise ConstructionError("window transform at (%d,%d) is not a point" % at(p, q), site)
-    q_space = join([z] + [up[at(i, l)] for l in range(q, q + m)])
-    if q_space.projective_dim != m:
+    space = join([z] + [ctx.up[at(i, l)] for l in range(q, q + m)])
+    if space.projective_dim != m:
         raise ConstructionError("degenerate constancy space at %s" % (site,), site)
-    hit = meet(_bs_line(ctx, *site), q_space)
+    return z.point(), space
+
+
+def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> None:
+    """Fill a site so that the m-fold forward transform of the window ending
+    there repeats its left neighbour: the meet of the admissible line with
+    the constancy space.
+
+    Transposed, the m-fold backward transform repeats its lower neighbour
+    (the admissible line is symmetric under transposition)."""
+    space = _constancy_space(ctx, site, m, transposed)[1]
+    hit = meet(_bs_line(ctx, *site), space)
     if hit.projective_dim != 0:
         raise ConstructionError("no unique completion at %s" % (site,), site)
     ctx.add(site, hit.point())
@@ -589,10 +599,10 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     if m < 1:
         raise ValueError("m must be positive")
     dom = boundary.domain
-    if m == 1:
-        return _double_degenerate_m1(boundary)
     if dom.width_i < m + 1 or dom.width_j < m + 1:
         raise ConstructionError("window too small for a double m=%d completion" % m)
+    if m == 1:
+        return _double_degenerate_m1(boundary)
     origin = (dom.i_min + m, dom.j_min + m)
     _require_sites(
         boundary,
@@ -676,17 +686,11 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
     ctx = _LiftContext(boundary)
     for j in range(1, b + 1):
         for i in range(2, a + 1):
-            z = _transform_point(ctx.up, (i - 2, j - 1), "forward")
-            line = join([ctx.up[(i, j - 1)], z])
-            if line.projective_dim != 1:
-                raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
-            if j == 1:
-                _add_on_line(ctx, (i, 1), line, rng, "admissible row-1 choice", avoid=z)
+            if j > 1:
+                _unique_fill(ctx, (i, j), 1)
                 continue
-            hit = meet(line, _bs_line(ctx, i, j))
-            if hit.projective_dim != 0:
-                raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
-            ctx.add((i, j), hit.point())
+            z, line = _constancy_space(ctx, (i, 1), 1)
+            _add_on_line(ctx, (i, 1), line, rng, "admissible row-1 choice", avoid=z)
     net = ctx.net()
     _verify_degenerate(net, 1)
     if not is_bs_koenigs(net):
@@ -773,8 +777,6 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
     mp = m + 1
     boundary = laplace_degenerate_boundary(mp, a, b, 3, rng.randrange(2**30))
     base = extend_laplace_degenerate(boundary, mp)
-    from .lifts import embed_and_lift
-
     lifted = embed_and_lift(base, rng.randrange(2**30)).lifted
     fwd = laplace_iterate(lifted, mp)
     if isinstance(fwd, TerminationReport):
@@ -784,9 +786,6 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
     center = join(zs)
     if center.projective_dim != b - m - 1:
         raise ConstructionError("constant transform points are not in general position")
-    for s in lifted.domain.sites():
-        if center.contains_point(lifted[s]):
-            raise ConstructionError("net point falls into the projection center")
     project = _sampled_projector(center, rng.randrange(2**30), onto_span=False)
     screen = project.screen
     pts = {s: HPoint(screen.point_coords(project(lifted[s]))) for s in lifted.domain.sites()}

@@ -58,15 +58,14 @@ class InvariantField:
     k: dict[Site, Fraction] = field(default_factory=dict)
 
 
-def _ratio(net: QNet, kind: str, edge: Site, other: Site) -> Fraction:
-    """cr(P, X, Q, Y) on the edge from P = net[edge], with X and Y the
-    transform points of the faces ``edge`` and ``other`` on it.
+def _ratio(kind: str, edge: Site, t: tuple, u: tuple) -> Fraction:
+    """cr(P, X, Q, Y) on the edge from P, the point at ``edge``, to Q, with
+    X and Y the transform points of the face ``edge`` and of the other face
+    on the edge, whose bracket tables are t and u.
 
-    Both faces have transform points, so both have bracket tables t and u:
-    the forward points are t[3] P + t[1] Q and u[2] P + u[0] Q, the
+    The forward points are t[3] P + t[1] Q and u[2] P + u[0] Q, the
     backward points -t[3] P + t[2] Q and u[1] P - u[0] Q, and cr(P,
     x1 P + y1 Q, Q, x2 P + y2 Q) = y1 x2 / (x1 y2)."""
-    t, u = _net_brackets(net, edge), _net_brackets(net, other)
     num, den = t[1 if kind == "H" else 2] * u[2 if kind == "H" else 1], t[3] * u[0]
     if not den:
         why = "is infinite (degenerate net)" if num else "undefined: cross-ratio of the form 0/0"
@@ -82,14 +81,15 @@ def laplace_invariants(net: QNet) -> InvariantField:
         return out
     fwd = transform_points(net, "forward")
     bwd = transform_points(net, "backward")
+    table = lambda face: _net_brackets(net, face)
     for i in range(d.i_min + 1, d.i_max):
         for j in range(d.j_min, d.j_max):
             if (i, j) in fwd and (i - 1, j) in fwd:
-                out.h[(i, j)] = _ratio(net, "H", (i, j), (i - 1, j))
+                out.h[(i, j)] = _ratio("H", (i, j), table((i, j)), table((i - 1, j)))
     for i in range(d.i_min, d.i_max):
         for j in range(d.j_min + 1, d.j_max):
             if (i, j) in bwd and (i, j - 1) in bwd:
-                out.k[(i, j)] = _ratio(net, "K", (i, j), (i, j - 1))
+                out.k[(i, j)] = _ratio("K", (i, j), table((i, j)), table((i, j - 1)))
     return out
 
 
@@ -177,13 +177,16 @@ def bs_koenigs_sites(field_: InvariantField) -> list[Site]:
     ]
 
 
+def _bs_koenigs_at(h: Layer, k: Layer, site: Site) -> bool:
+    """The BS-Koenigs product condition at one site."""
+    i, j = site
+    return h[(i, j)] * h[(i, j + 1)] == k[(i, j + 1)] * k[(i - 1, j + 1)]
+
+
 def is_bs_koenigs(net: QNet) -> bool:
     """H(i,j) H(i,j+1) = K(i,j+1) K(i-1,j+1) at every applicable site."""
     f = laplace_invariants(net)
-    return all(
-        f.h[(i, j)] * f.h[(i, j + 1)] == f.k[(i, j + 1)] * f.k[(i - 1, j + 1)]
-        for (i, j) in bs_koenigs_sites(f)
-    )
+    return all(_bs_koenigs_at(f.h, f.k, site) for site in bs_koenigs_sites(f))
 
 
 def d_koenigs_sites(field_: InvariantField) -> list[Site]:

@@ -43,7 +43,6 @@ from .projective import (
     join,
     meet,
     singular_locus,
-    supplementary,
 )
 from .qnet import (
     GridDomain,
@@ -189,9 +188,11 @@ def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
         return LiftResult(net, center, screen, seed)
     if center.ambient_dim != m:
         raise DimensionMismatchError("center has wrong ambient dimension")
-    if not supplementary(center, screen):
-        raise GeometryError("center is not supplementary to the net's span")
-    return _lift_through(net, Projector(center, screen), seed)
+    try:
+        projector = Projector(center, screen)
+    except GeometryError as exc:
+        raise GeometryError("center is not supplementary to the net's span") from exc
+    return _lift_through(net, projector, seed)
 
 
 def _lift_through(net: QNet, projector: Projector, seed: int) -> LiftResult:

@@ -57,11 +57,14 @@ def primitive(vec: Sequence) -> IntRow:
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    if next(v for v in ints if v) < 0:
-        g = -g
+    for v in ints:
+        if v:
+            if v < 0:
+                g = -g
+            break
     if g == 1:
         return tuple(ints)
-    return tuple(v // g for v in ints)
+    return tuple([v // g for v in ints])
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[IntRow]:
@@ -79,7 +82,8 @@ def echelon(
     lists span the same space exactly when their echelon forms are equal.
     Up to three rows with a nonzero leading minor take the closed form of
     ``_adjugate_echelon``; otherwise elimination is fraction-free with
-    per-row content reduction.
+    per-row content reduction.  The first nonzero entry of an echelon row is
+    its pivot, so ``primitive`` scales it to the canonical row.
     """
     if 0 < len(rows) <= min(3, ncols):
         closed = _adjugate_echelon(rows)
@@ -111,13 +115,7 @@ def echelon(
         r += 1
         if r == len(work):
             break
-    out = []
-    for row, c in zip(work, pivots):
-        g = gcd(*row)
-        if row[c] < 0:
-            g = -g
-        out.append(tuple(row) if g == 1 else tuple(v // g for v in row))
-    return tuple(out), tuple(pivots)
+    return tuple(map(primitive, work[: len(pivots)])), tuple(pivots)
 
 
 def _adjugate_echelon(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntRow, ...], tuple[int, ...]] | None:
@@ -126,7 +124,8 @@ def _adjugate_echelon(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntRow, ...]
 
     Row i of adj(M) is the vector l with l . (column c of M) = det(M) for
     c = i and 0 otherwise: a 2D perpendicular or a 3D cross product of the
-    other columns.
+    other columns.  Its entries before column i are zero, so ``primitive``
+    scales it to the canonical row.
     """
     k = len(rows)
     if k == 1:
@@ -152,13 +151,7 @@ def _adjugate_echelon(rows: Sequence[Sequence[int]]) -> tuple[tuple[IntRow, ...]
             [p * x + q * y + r * z for x, y, z in zip(r0, r1, r2)]
             for p, q, r in (l0, cross3(c2, c0), cross3(c0, c1))
         ]
-    out = []
-    for row in combos:
-        g = gcd(*row)
-        if det < 0:
-            g = -g
-        out.append(tuple(row) if g == 1 else tuple(v // g for v in row))
-    return tuple(out), tuple(range(k))
+    return tuple(map(primitive, combos)), tuple(range(k))
 
 
 def det3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:

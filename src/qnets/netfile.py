@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .construct import PartialNet
-from .errors import GeneralPositionError, NetFileError
+from .errors import GeneralPositionError, NetFileError, ProjectionUndefinedError
 from .invariants import InvariantField
 from .lifts import _sampled_projector
 from .projective import HPoint, Subspace
@@ -201,9 +201,10 @@ def _to_three_space(net: QNet, seed: int) -> dict:
         if screen.projective_dim != 3:
             continue
         project = _sampled_projector(screen, rng.randrange(2**30))
-        if any(project.center.contains_point(net[s]) for s in net.domain.sites()):
+        try:
+            return {s: screen.point_coords(project(net[s])) for s in net.domain.sites()}
+        except ProjectionUndefinedError:
             continue
-        return {s: screen.point_coords(project(net[s])) for s in net.domain.sites()}
     raise GeneralPositionError("could not sample a projection to three-space")
 
 

@@ -355,40 +355,16 @@ def span_dim(points: Sequence[HPoint]) -> int:
     return len(bareiss(coords, len(coords[0]))[0]) - 1
 
 
-def supplementary(a: Subspace, b: Subspace) -> bool:
-    """True when a and b are disjoint and join to the whole space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError("subspaces in different ambient spaces")
-    full = a.ambient_dim + 1
-    if len(a.rows) + len(b.rows) != full:
-        return False
-    return len(bareiss(list(a.rows + b.rows), full)[0]) == full
-
-
 def _chart(points: Sequence[HPoint], expect: int) -> list[tuple[int, int]]:
-    """Common 2-coordinate chart of collinear points.
-
-    The chart is columns 0, 1 when the first two points have a nonzero 2x2
-    minor [p1 p2] there: then each further point q is on their line exactly
-    when [p1 p2] q = [q p2] p1 + [p1 q] p2 in every coordinate (it holds in
-    columns 0, 1 by construction).  Otherwise it is the pivot columns of
-    the Bareiss elimination of all points.  In any chart onto which the
+    """Common 2-coordinate chart of collinear points: the pivot columns of
+    the Bareiss elimination of all points, which are two exactly when the
+    points are collinear and not all equal.  In any chart onto which the
     line projects isomorphically, the 2x2 minors of its points differ by one
     common nonzero factor, which cancels in the cross- and multi-ratio.
     """
     coords = [p.coords for p in points]
     _same_space(coords, "ratio")
-    u, v = coords[0], coords[1]
-    if len(u) >= 2:
-        uv = u[0] * v[1] - u[1] * v[0]
-        if uv:
-            for w in coords[2:]:
-                wv, uw = w[0] * v[1] - w[1] * v[0], u[0] * w[1] - u[1] * w[0]
-                for k in range(2, len(w)):
-                    if uv * w[k] != wv * u[k] + uw * v[k]:
-                        raise GeometryError("points are not collinear")
-            return [w[:2] for w in coords]
-    pivots = bareiss(list(coords), len(u))[0]
+    pivots = bareiss(list(coords), len(coords[0]))[0]
     if len(pivots) > 2:
         raise GeometryError("points are not collinear")
     if len(pivots) < 2:
@@ -439,8 +415,8 @@ class Projector:
     v - sum (v_p / s_p) S_p on the other columns F, and v - l C lies on the
     screen exactly when r(v) = l r(C).  So ``matrix``, scaled to primitive
     integers, maps v to v - r(v)_F r(C)_F^-1 C, read off the echelon form of
-    [L r(C)_F | C] (L = lcm s_p), which has full rank exactly when center
-    and screen are supplementary.
+    [L r(C)_F | C] (L = lcm s_p), which is square and of full rank exactly
+    when center and screen are supplementary.
     """
 
     __slots__ = ("center", "screen", "matrix", "_rows")
@@ -457,7 +433,7 @@ class Projector:
             for r in center.rows
         ]
         red = echelon(rows, k)[0] if len(rows) == k else ()
-        if len(red) != k:
+        if len(rows) != k or len(red) != k:
             raise GeometryError("center and screen are not supplementary")
         scale = lcm(*(row[i] for i, row in enumerate(red)))
         matrix = [[scale * (a == b) for b in range(size)] for a in range(size)]
@@ -489,6 +465,18 @@ class Projector:
 
     def __setattr__(self, name, value):
         raise AttributeError("Projector is immutable")
+
+
+def supplementary(a: Subspace, b: Subspace) -> bool:
+    """True when a and b are disjoint and join to the whole space, which is
+    exactly when their ``Projector`` builds."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError("subspaces in different ambient spaces")
+    try:
+        Projector(a, b)
+    except GeometryError:
+        return False
+    return True
 
 
 def central_projection(p: HPoint, center: Subspace, screen: Subspace) -> HPoint:

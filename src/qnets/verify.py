@@ -8,11 +8,11 @@ fixed seed count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import construct
 from .errors import QnetsError
 from .invariants import (
+    hk_shift_check,
     invariant_symmetry_check,
     laplace_invariants,
     recurrence_step_from_k,
@@ -54,34 +54,33 @@ def _run(result: PropertyResult, label: str, check) -> None:
         result.failures.append("%s: %s" % (label, exc))
 
 
-def _once(make):
-    """``make(key)`` memoised for the life of the returned getter, a
-    QnetsError it raises included, so that an instance checked by several
-    properties is built once and fails each of them with the same label."""
-    built: dict = {}
+class Build(dict):
+    """``build(make, *args)``: ``make(*args)`` memoised by ``make`` and
+    ``args`` until cleared, a QnetsError it raises included, so that an
+    instance checked by several properties is built once and fails each of
+    them with the same label."""
 
-    def get(key):
-        if key not in built:
+    def __call__(self, make, *args):
+        key = (make, args)
+        if key not in self:
             try:
-                built[key] = make(key)
+                self[key] = make(*args)
             except QnetsError as exc:
-                built[key] = exc
-        if isinstance(built[key], QnetsError):
-            raise built[key]
-        return built[key]
-
-    return get
+                self[key] = exc
+        if isinstance(self[key], QnetsError):
+            raise self[key]
+        return self[key]
 
 
 def _laplace_m2(s: int) -> QNet:
     return construct.extend_laplace_degenerate(construct.laplace_degenerate_boundary(2, 3, 4, 3, s), 2)
 
 
-def suite_recurrence(seeds: int) -> list[PropertyResult]:
+def suite_recurrence(seeds: int, build: Build) -> list[PropertyResult]:
     geometry = PropertyResult("recurrence/matches-geometric-field")
     shifts = PropertyResult("recurrence/shift-identities")
     # Both properties check the same net: build it once per seed.
-    base_net = _once(lambda s: construct.random_qnet(3, 3, 3, s))
+    base_net = lambda s: build(construct.random_qnet, 3, 3, 3, s)
     for s in range(seeds):
         def check_geometry(s=s):
             net = base_net(s)
@@ -104,13 +103,7 @@ def suite_recurrence(seeds: int) -> list[PropertyResult]:
             return all(recurrence_step_from_k(f.k, f.h, site) == h1[site] for site in sites)
 
         _run(geometry, "seed %d" % s, check_geometry)
-
-        def check_shifts(s=s):
-            from .invariants import hk_shift_check
-
-            return hk_shift_check(base_net(s))
-
-        _run(shifts, "seed %d" % s, check_shifts)
+        _run(shifts, "seed %d" % s, lambda s=s: hk_shift_check(base_net(s)))
     return [geometry, shifts]
 
 
@@ -118,9 +111,9 @@ def _is_backward_laplace(net: QNet, steps: int) -> bool:
     return degenerate_transform(net, -steps, "laplace") is not None
 
 
-def suite_termination(
-    seeds: int, laplace_m2: Callable[[int], QNet], koenigs: Callable[[tuple], QNet]
-) -> list[PropertyResult]:
+def suite_termination(seeds: int, build: Build) -> list[PropertyResult]:
+    laplace_m2 = lambda s: build(_laplace_m2, s)
+    koenigs = lambda key: build(construct.random_bs_koenigs, *key)
     results = []
     cases = [
         ("termination/laplace-m1-backward-m2", lambda s: _is_backward_laplace(construct.bs_laplace_degenerate_m1(3, 3, 3, s), 2)),
@@ -169,30 +162,28 @@ def _bottom_rows_agree(net: QNet, d_b: QNet | None) -> bool:
     return all(p_b[(i, pd.j_min)] == d_b[(i, pd.j_min)] for i in range(pd.i_min, pd.i_max + 1))
 
 
-def suite_symmetry(
-    seeds: int, laplace_m2: Callable[[int], QNet], koenigs: Callable[[tuple], QNet]
-) -> list[PropertyResult]:
+def suite_symmetry(seeds: int, build: Build) -> list[PropertyResult]:
+    koenigs = lambda key: build(construct.random_bs_koenigs, *key)
     sym0 = PropertyResult("symmetry/invariants-m0")
     sym1 = PropertyResult("symmetry/invariants-m1")
     coupling = PropertyResult("symmetry/forward-P-backward-D-coupling")
     pointid = PropertyResult("symmetry/backward-point-identity")
 
-    @_once
     def coupled(s: int) -> tuple[QNet, QNet | None]:
         """P and the backward 2-fold transform of its diagonal net when that
         is Laplace degenerate (None otherwise)."""
-        net = laplace_m2(s)
+        net = build(_laplace_m2, s)
         return net, degenerate_transform(diagonal_intersection_net(net), -2, "laplace")
 
     for s in range(seeds):
         _run(sym0, "seed %d" % s, lambda s=s: invariant_symmetry_check(koenigs((3, 3, 3, s)), 0))
         _run(sym1, "seed %d" % s, lambda s=s: invariant_symmetry_check(koenigs((4, 4, 3, s)), 1))
-        _run(coupling, "seed %d" % s, lambda s=s: coupled(s)[1] is not None)
-        _run(pointid, "seed %d" % s, lambda s=s: _bottom_rows_agree(*coupled(s)))
+        _run(coupling, "seed %d" % s, lambda s=s: build(coupled, s)[1] is not None)
+        _run(pointid, "seed %d" % s, lambda s=s: _bottom_rows_agree(*build(coupled, s)))
     return [sym0, sym1, coupling, pointid]
 
 
-def suite_quadric(seeds: int) -> list[PropertyResult]:
+def suite_quadric(seeds: int, build: Build) -> list[PropertyResult]:
     conj = PropertyResult("quadric/conjugacy-agreement")
     sing = PropertyResult("quadric/singular-point-checks")
 
@@ -201,8 +192,8 @@ def suite_quadric(seeds: int) -> list[PropertyResult]:
         (m, a, b, n): a random Q-net for m = 1, a BS-Koenigs net else."""
         ok = True
         for m, a, b, n in shapes:
-            base = construct.random_qnet(a, b, n, s) if m == 1 else construct.random_bs_koenigs(a, b, n, s)
-            ok = check(embed_and_lift(base, s).lifted, m) and ok
+            make = construct.random_qnet if m == 1 else construct.random_bs_koenigs
+            ok = check(embed_and_lift(build(make, a, b, n, s), s).lifted, m) and ok
         return ok
 
     def conjugacy(lifted: QNet, m: int) -> bool:
@@ -230,12 +221,14 @@ def run_suites(which: str, seeds: int) -> list[PropertyResult]:
     if which != "all" and which not in SUITES:
         raise ValueError("unknown suite %r" % which)
     # The termination and symmetry suites both check the m=2 instance and
-    # the random BS-Koenigs nets of shapes (3, 3, 3) and (4, 4, 3): getters
-    # made per call build each of them once per seed for both.
-    laplace_m2 = _once(_laplace_m2)
-    koenigs = _once(lambda key: construct.random_bs_koenigs(*key))
-    shared = {"termination": (laplace_m2, koenigs), "symmetry": (laplace_m2, koenigs)}
+    # the random BS-Koenigs nets of shapes (3, 3, 3) and (4, 4, 3): one
+    # getter per call builds each of them once per seed for both.
+    build = Build()
     out: list[PropertyResult] = []
     for name in SUITES if which == "all" else (which,):
-        out.extend(SUITES[name](seeds, *shared.get(name, ())))
+        out.extend(SUITES[name](seeds, build))
+    # Local makers such as suite_symmetry's coupled hold the getter that
+    # holds them: clearing it frees the instances now, not at the next
+    # cycle collection.
+    build.clear()
     return out

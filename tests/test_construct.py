@@ -261,6 +261,16 @@ class TestDoubleDegenerate:
         assert classify_degeneracy(laplace_iterate(net, -1), "backward").kind == "laplace"
         assert is_bs_koenigs(net)
 
+    def test_m1_window_too_small(self):
+        # The m = 1 path checks the window first, as the m >= 2 path does;
+        # a window 0 quads wide used to fail in laplace_iterate.
+        base = double_degenerate_boundary(1, 3, 3, 3, 2)
+        for i_max, j_max in ((0, 0), (0, 3), (1, 3), (3, 1)):
+            dom = GridDomain(0, i_max, 0, j_max)
+            part = PartialNet(dom, 3, {s: p for s, p in base.points.items() if dom.contains(s)})
+            with pytest.raises(ConstructionError, match=r"^window too small for a double m=1 completion$"):
+                construct_double_degenerate(part, 1)
+
     def test_backward_coincidence_propagates_to_all_columns(self):
         net = construct_double_degenerate(double_degenerate_boundary(2, 4, 3, 3, 3), 2)
         back = laplace_iterate(net, -2)

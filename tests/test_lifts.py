@@ -74,6 +74,16 @@ class TestLift:
         with pytest.raises(DimensionMismatchError):
             lift(net, Subspace.empty(3), 0)
 
+    def test_non_supplementary_center_rejected(self):
+        net = embed_net(random_qnet(2, 2, 2, 2), 4)  # spans the plane x3 = x4 = 0
+        e3, e4 = HPoint((0, 0, 0, 1, 0)), HPoint((0, 0, 0, 0, 1))
+        assert lift(net, join([e3, e4]), 0).lifted.ambient_dim == 4
+        inside = join([net[(0, 0)], net[(1, 0)]])
+        meeting = join([net[(0, 0)], e3])
+        for center in (Subspace.empty(4), inside, meeting, join([meeting, e4]), Subspace.full(4)):
+            with pytest.raises(GeometryError, match="^center is not supplementary to the net's span$"):
+                lift(net, center, 0)
+
     def test_invariants_preserved(self):
         for seed in range(10):
             net = random_qnet(2, 2, 3, seed)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnets import HPoint, PartialNet, QNet, affine_grid, random_bs_koenigs, random_qnet
+from qnets import GridDomain, HPoint, PartialNet, QNet, affine_grid, random_bs_koenigs, random_qnet
 from qnets.cli import main
 from qnets.errors import NetFileError
 from qnets.netfile import (
@@ -221,6 +221,14 @@ class TestCli:
         write_net(str(bpath), boundary)
         out = tmp_path / "net.json"
         assert run(["construct", "--mode", "laplace", "--m", 2, "--seed", 0, "-b", bpath, "-o", out]) == 0
+
+    def test_construct_double_m1_on_a_one_site_window(self, tmp_path, capsys):
+        bpath = tmp_path / "b.json"
+        write_net(str(bpath), PartialNet(GridDomain(0, 0, 0, 0), 3, {(0, 0): HPoint((1, 2, 3, 4))}))
+        args = ["construct", "--mode", "double", "--m", 1, "-b", bpath, "-o", tmp_path / "net.json", "--json"]
+        assert run(args) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "ConstructionError", "message": "window too small for a double m=1 completion"}
 
     def test_invariants_command(self, tmp_path):
         src = tmp_path / "net.json"

@@ -230,8 +230,8 @@ def _configuration(rng, n, rank, zeros):
 
 class TestRankCertificates:
     """span_dim, line_meet and the ratio chart agree with the Bareiss-only
-    references in value, error type and message, whichever of their
-    certificate and fallback routes runs."""
+    references in value, error type and message, on both the certificate
+    and the fallback route of the first two."""
 
     @staticmethod
     def _agree(pts):
@@ -408,6 +408,47 @@ def _supplementary_pair(rng: random.Random, n: int) -> tuple[Subspace, Subspace]
         screen = Subspace.from_rows(rows[k:], n)
         if supplementary(center, screen):
             return center, screen
+
+
+class TestSupplementary:
+    """``supplementary`` (whether the pair's ``Projector`` builds) against
+    the rank oracle of the stacked rows: supplementary exactly when the
+    row counts sum to n + 1 and the stacked rows have rank n + 1."""
+
+    def test_against_the_rank_oracle(self):
+        rng = random.Random(2024)
+        seen = set()
+        for n in range(1, 7):
+            for _ in range(40):
+                ka, kb = rng.randint(0, n + 1), rng.randint(0, n + 1)
+                lo = rng.choice((-9, -1))
+                rows = [[rng.randint(lo, -lo) for _ in range(n + 1)] for _ in range(ka + kb)]
+                if ka and kb and rng.random() < 0.3:
+                    # A row of b in the span of a's rows.
+                    rows[ka] = [x - 2 * y for x, y in zip(rows[0], rows[ka - 1])]
+                a = Subspace.from_rows(rows[:ka], n)
+                b = Subspace.from_rows(rows[ka:], n)
+                counts = len(a.rows) + len(b.rows) == n + 1
+                want = counts and oracle_rank(list(a.rows + b.rows)) == n + 1
+                assert supplementary(a, b) == supplementary(b, a) == want
+                seen.add((counts, want))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_empty_and_full(self):
+        for n in (1, 3):
+            empty, full = Subspace.empty(n), Subspace.full(n)
+            assert supplementary(empty, full) and supplementary(full, empty)
+            assert not supplementary(full, full) and not supplementary(empty, empty)
+            point = Subspace.from_points([HPoint((1,) + (0,) * n)])
+            assert not supplementary(point, full) and not supplementary(full, point)
+
+    def test_mismatched_ambient_spaces(self):
+        a = Subspace.from_points([pt(1, 0, 0)])
+        for b in (Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]], 3), Subspace.full(1), Subspace.empty(3)):
+            with pytest.raises(DimensionMismatchError):
+                supplementary(a, b)
+            with pytest.raises(DimensionMismatchError):
+                supplementary(b, a)
 
 
 class TestProjector:
