@@ -388,14 +388,12 @@ def _line_point(line: Subspace, t) -> HPoint:
     return HPoint([t.denominator * a + t.numerator * b for a, b in zip(g1, g2)])
 
 
-def _add_on_line(
-    ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random, what: str, avoid: HPoint | None = None
-) -> None:
+def _add_on_line(ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random, what: str) -> None:
     """Register at ``site`` the first of up to RETRY_BUDGET seeded points of
-    ``line``, other than ``avoid``, that the lift context accepts."""
+    ``line`` that the lift context accepts."""
     for _ in range(RETRY_BUDGET):
         cand = _line_point(line, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-        if cand != avoid and ctx.add(site, cand, strict=False) is not None:
+        if ctx.add(site, cand, strict=False) is not None:
             return
     raise GeneralPositionError("no %s at %s" % (what, site))
 
@@ -510,10 +508,10 @@ def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
     return _retry(seed, 16, (ConstructionError, GeneralPositionError), message, attempt)
 
 
-def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> tuple[HPoint, Subspace]:
-    """The lifted m-fold forward transform point z of the Sigma_{m,m} window
-    left of ``site`` (the meet of its column joins) and the m-space joined
-    by z and the m points below ``site``: the window ending at ``site`` has
+def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> Subspace:
+    """The m-space joined by the lifted m-fold forward transform point z of
+    the Sigma_{m,m} window left of ``site`` (the meet of its column joins)
+    and the m points below ``site``: the window ending at ``site`` has
     transform z exactly when the point there lies in that space.
 
     Transposed, rows and columns swap: the m-fold backward transform."""
@@ -531,7 +529,7 @@ def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = F
     space = join([z] + [ctx.up[at(i, l)] for l in range(q, q + m)])
     if space.projective_dim != m:
         raise ConstructionError("degenerate constancy space at %s" % (site,), site)
-    return z.point(), space
+    return space
 
 
 def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> None:
@@ -541,8 +539,7 @@ def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False
 
     Transposed, the m-fold backward transform repeats its lower neighbour
     (the admissible line is symmetric under transposition)."""
-    space = _constancy_space(ctx, site, m, transposed)[1]
-    hit = meet(_bs_line(ctx, *site), space)
+    hit = meet(_bs_line(ctx, *site), _constancy_space(ctx, site, m, transposed))
     if hit.projective_dim != 0:
         raise ConstructionError("no unique completion at %s" % (site,), site)
     ctx.add(site, hit.point())
@@ -594,7 +591,8 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     the two directions.  The m = 1 case takes width-one strips and is a
     distinct path: both constancy constraints pin each new point as a
     two-line meet inside its face plane, and the result is automatically
-    BS-Koenigs (verified, not assumed).
+    BS-Koenigs (verified, not assumed).  It needs no lift, so it alone
+    completes boundaries in RP^n with n > a+b (``_LiftContext`` rejects them).
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -689,8 +687,9 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
             if j > 1:
                 _unique_fill(ctx, (i, j), 1)
                 continue
-            z, line = _constancy_space(ctx, (i, 1), 1)
-            _add_on_line(ctx, (i, 1), line, rng, "admissible row-1 choice", avoid=z)
+            # The line holds the window point z, on the lifted column line (i-1, 0)-(i-1, 1):
+            # its projection is collinear with those two corners, so ctx.add rejects it.
+            _add_on_line(ctx, (i, 1), _constancy_space(ctx, (i, 1), 1), rng, "admissible row-1 choice")
     net = ctx.net()
     _verify_degenerate(net, 1)
     if not is_bs_koenigs(net):

@@ -107,17 +107,22 @@ def hk_shift_check(net: QNet) -> bool:
         raise ExistenceError("both single transforms must exist for the shift check")
     k1 = laplace_invariants(fwd).k
     hm1 = laplace_invariants(bwd).h
-    for site, value in k1.items():
-        i, j = site
-        other = cur.h.get((i + 1, j))
-        if other is not None and value != other:
-            return False
-    for site, value in hm1.items():
-        i, j = site
-        other = cur.k.get((i, j + 1))
-        if other is not None and value != other:
-            return False
-    return True
+    return _shifted_agreement(((k1, cur.h, (1, 0)), (hm1, cur.k, (0, 1))))[0]
+
+
+def _shifted_agreement(comparisons) -> tuple[bool, int]:
+    """Compare, for each (layer, other, (di, dj)), layer at (i, j) with other
+    at (i + di, j + dj) where both exist: whether all agree (stopping at the
+    first that does not) and how many were compared."""
+    checked = 0
+    for layer, other, (di, dj) in comparisons:
+        for (i, j), value in layer.items():
+            shifted = other.get((i + di, j + dj))
+            if shifted is not None:
+                checked += 1
+                if shifted != value:
+                    return False, checked
+    return True, checked
 
 
 def _mutation(prev: Layer, prev_site: Site, cur: Layer, site: Site, transposed: bool) -> Fraction:
@@ -261,20 +266,7 @@ def invariant_symmetry_details(net: QNet, m: int) -> tuple[bool, int]:
     k_d = laplace_invariants(d_bwd).k
     h_d = laplace_invariants(d_fwd).h
     k_p = laplace_invariants(p_bwd).k
-    checked = 0
-    for (i, j), value in k_d.items():
-        other = h_p.get((i + 1, j))
-        if other is not None:
-            checked += 1
-            if other != value:
-                return False, checked
-    for (i, j), value in h_d.items():
-        other = k_p.get((i, j + 1))
-        if other is not None:
-            checked += 1
-            if other != value:
-                return False, checked
-    return True, checked
+    return _shifted_agreement(((k_d, h_p, (1, 0)), (h_d, k_p, (0, 1))))
 
 
 def _existing(result: QNet | TerminationReport, label: str) -> QNet:

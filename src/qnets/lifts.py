@@ -71,8 +71,6 @@ class LiftResult:
         return Projector(self.center, self.screen)
 
     def project_point(self, p: HPoint) -> HPoint:
-        if self.center.is_empty:
-            return p
         return self._projector(p)
 
 
@@ -181,13 +179,13 @@ def lift(net: QNet, center: Subspace, seed: int) -> LiftResult:
         raise DimensionMismatchError(
             "lift expects the net in RP^%d (ambient is RP^%d)" % (m, net.ambient_dim)
         )
+    if center.ambient_dim != m:
+        raise DimensionMismatchError("center has wrong ambient dimension")
     screen = net_span(net)
     if screen.is_full:
         if not center.is_empty:
             raise GeometryError("an extensive net lifts only through the empty center")
         return LiftResult(net, center, screen, seed)
-    if center.ambient_dim != m:
-        raise DimensionMismatchError("center has wrong ambient dimension")
     try:
         projector = Projector(center, screen)
     except GeometryError as exc:

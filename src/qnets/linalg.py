@@ -13,9 +13,8 @@ The kernel works on rows of Python ``int``s.  Two eliminations cover it:
 
 Both choose the first nonzero entry as pivot, so every routine here is
 deterministic.  ``kernel`` gives the right kernel in the same canonical
-integer form.  Only the public wrappers ``rref``, ``nullspace`` and
-``det`` take or return ``Fraction`` matrices, for callers working over Q:
-``rref`` and ``nullspace`` return unit-pivot rows.
+integer form, and ``unit_rows`` reads a canonical form as unit-pivot
+``Fraction`` rows.
 
 Closed form first.  Most eliminations in the kernel are joins of one to
 three points.  When k <= 3 rows have a nonzero leading k x k minor M
@@ -65,11 +64,6 @@ def primitive(vec: Sequence) -> IntRow:
     if g == 1:
         return tuple(ints)
     return tuple([v // g for v in ints])
-
-
-def _int_rows(rows: Sequence[Sequence]) -> list[IntRow]:
-    """Primitive integer rows spanning the same row space (zero rows dropped)."""
-    return [primitive(r) for r in rows if any(x != 0 for x in r)]
 
 
 def echelon(
@@ -225,23 +219,9 @@ def bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, swaps
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form of ``rows`` over Q.
-
-    Returns the nonzero rows (unit pivots, pivot columns cleared) together
-    with the pivot column indices.
-    """
-    red, pivots = echelon(_int_rows(rows), ncols)
-    return unit_rows(red, pivots), pivots
-
-
 def unit_rows(red: Sequence[IntRow], pivots: Sequence[int]) -> Matrix:
     """The unit-pivot rows over Q of a canonical integer echelon form."""
     return tuple(tuple(Fraction(v, row[c]) for v in row) for row, c in zip(red, pivots))
-
-
-def rank(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    return len(bareiss(_int_rows(rows), ncols)[0])
 
 
 def kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[IntRow, ...], tuple[int, ...]]:
@@ -261,26 +241,3 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int) -> tuple[tuple[IntRow, ...
         basis.append(v)
     return echelon(basis, ncols)
 
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
-    """Canonical (RREF) basis of the right kernel ``{x : M x = 0}``."""
-    return unit_rows(*kernel(_int_rows(rows), ncols))
-
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square matrix by Bareiss elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    den = 1
-    work = []
-    for r in rows:
-        vals = [Fraction(v) for v in r]
-        d = lcm(*(v.denominator for v in vals))
-        den *= d
-        work.append([v.numerator * (d // v.denominator) for v in vals])
-    pivots, swaps = bareiss(work, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    value = work[n - 1][n - 1] if n else 1
-    return Fraction(-value if swaps % 2 else value, den)

@@ -67,20 +67,13 @@ def format_scalar(value: Fraction) -> str:
 
 def net_to_dict(net: Union[QNet, PartialNet]) -> dict:
     d = net.domain
-    if isinstance(net, QNet):
-        getter = lambda s: net[s]
-        has = lambda s: True
-    else:
-        getter = lambda s: net.points[s]
-        has = lambda s: s in net.points
+    points = net.points() if isinstance(net, QNet) else net.points
     rows = []
     for i in range(d.i_min, d.i_max + 1):
         row = []
         for j in range(d.j_min, d.j_max + 1):
-            if has((i, j)):
-                row.append([format_scalar(c) for c in getter((i, j)).coords])
-            else:
-                row.append(None)
+            p = points.get((i, j))
+            row.append(None if p is None else [format_scalar(c) for c in p.coords])
         rows.append(row)
     return {
         "ambient_dim": net.ambient_dim,

@@ -390,6 +390,13 @@ def laplace_backward(net: QNet) -> QNet:
     return _laplace(net, "backward")
 
 
+def _coincidences(net: QNet, pairs: list) -> tuple[bool, tuple[Site, Site] | None]:
+    """Whether the two points of every site pair coincide, and the first
+    pair whose points do (None when none does)."""
+    same = [(s, t) for s, t in pairs if net[s] == net[t]]
+    return len(same) == len(pairs), next(iter(same), None)
+
+
 def classify_degeneracy(net: QNet, direction: Direction) -> DegeneracyReport:
     """Classify a net reached by iterated transforms in the given direction.
 
@@ -406,28 +413,13 @@ def classify_degeneracy(net: QNet, direction: Direction) -> DegeneracyReport:
         return DegeneracyReport(rep.kind, "backward", witness)
 
     d = net.domain
-    laplace_witness: tuple[Site, Site] | None = None
-    constant_in_i = True
-    for j in range(d.j_min, d.j_max + 1):
-        for i in range(d.i_min, d.i_max):
-            if net[(i, j)] == net[(i + 1, j)]:
-                if laplace_witness is None:
-                    laplace_witness = ((i, j), (i + 1, j))
-            else:
-                constant_in_i = False
+    rows = [((i, j), (i + 1, j)) for j in range(d.j_min, d.j_max + 1) for i in range(d.i_min, d.i_max)]
+    constant_in_i, laplace_witness = _coincidences(net, rows)
     if constant_in_i and d.width_i >= 1:
         return DegeneracyReport("laplace", "forward", laplace_witness)
-
-    constant_in_j = d.width_j >= 1
-    goursat_witness: tuple[Site, Site] | None = None
-    for i in range(d.i_min, d.i_max + 1):
-        for j in range(d.j_min, d.j_max):
-            if net[(i, j)] == net[(i, j + 1)]:
-                if goursat_witness is None:
-                    goursat_witness = ((i, j), (i, j + 1))
-            else:
-                constant_in_j = False
-    if constant_in_j:
+    columns = [((i, j), (i, j + 1)) for i in range(d.i_min, d.i_max + 1) for j in range(d.j_min, d.j_max)]
+    constant_in_j, goursat_witness = _coincidences(net, columns)
+    if constant_in_j and d.width_j >= 1:
         if laplace_witness is None:
             return DegeneracyReport("goursat", "forward", goursat_witness)
         return DegeneracyReport("mixed", "forward", laplace_witness)

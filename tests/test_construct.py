@@ -38,7 +38,7 @@ from qnets import (
 from qnets import construct
 from qnets.construct import validate_boundary
 from qnets.projective import transform_point
-from qnets.qnet import TerminationReport, transform_net
+from qnets.qnet import TerminationReport, column_space_meet, transform_net
 
 from helpers import (
     random_invertible,
@@ -271,6 +271,18 @@ class TestDoubleDegenerate:
             with pytest.raises(ConstructionError, match=r"^window too small for a double m=1 completion$"):
                 construct_double_degenerate(part, 1)
 
+    def test_m1_beyond_the_joined_dimension(self):
+        # The m = 1 path completes in RP^n itself; the lifted completions of
+        # the m >= 2 path need n <= a + b, so only m = 1 reaches RP^5 here.
+        for seed in range(10):
+            boundary = double_degenerate_boundary(1, 2, 2, 5, seed)
+            with pytest.raises(ConstructionError, match=r"^ambient RP\^5 exceeds the maximal joined dimension 4$"):
+                construct._LiftContext(boundary)
+            net = construct_double_degenerate(boundary, 1)
+            assert net.ambient_dim == 5
+            assert classify_degeneracy(laplace_iterate(net, 1), "forward").kind == "laplace"
+            assert classify_degeneracy(laplace_iterate(net, -1), "backward").kind == "laplace"
+
     def test_backward_coincidence_propagates_to_all_columns(self):
         net = construct_double_degenerate(double_degenerate_boundary(2, 4, 3, 3, 3), 2)
         back = laplace_iterate(net, -2)
@@ -312,6 +324,30 @@ class TestDegenerateGenerators:
             assert classify_degeneracy(laplace_iterate(net, 1), "forward").kind == "laplace"
             back = laplace_iterate(net, -2)
             assert classify_degeneracy(back, "backward").kind == "laplace"
+
+    def test_row1_window_point_is_rejected_by_the_face_check(self, monkeypatch):
+        # Each row-1 line of bs_laplace_degenerate_m1 holds the lifted window
+        # point z, the forward transform of face (i-2, 0); z must never be
+        # chosen, and the face check of the lift context is what rejects it.
+        add_on_line = construct._add_on_line
+        checked = []
+
+        def spy(ctx, site, line, rng, what):
+            i, j = site
+            window = GridDomain(i - 2, i - 1, j - 1, j)
+            big = ctx.domain.width_i + ctx.domain.width_j
+            z = column_space_meet(QNet(window, big, {s: ctx.up[s] for s in window.sites()})).point()
+            assert line.contains_point(z)
+            assert any(ctx.projector.apply(z.coords))
+            assert ctx.add(site, z, strict=False) is None
+            checked.append(site)
+            add_on_line(ctx, site, line, rng, what)
+
+        monkeypatch.setattr(construct, "_add_on_line", spy)
+        for shape in ((3, 3, 3), (4, 3, 3), (3, 4, 5)):
+            for seed in range(40):
+                bs_laplace_degenerate_m1(*shape, seed)
+        assert len(checked) >= 240
 
     def test_bs_goursat(self):
         net = bs_goursat_net(1, 3, 4, 0)

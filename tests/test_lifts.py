@@ -41,7 +41,7 @@ from qnets.lifts import (
     staircase_point,
 )
 from qnets.projective import Projector
-from qnets.linalg import bareiss, nullspace
+from qnets.linalg import bareiss, kernel
 from qnets.qnet import GridDomain, QNet, TerminationReport, net_span
 from helpers import random_point
 
@@ -73,6 +73,15 @@ class TestLift:
         net = random_qnet(2, 2, 3, 2)  # RP^3, needs RP^4 for a direct lift
         with pytest.raises(DimensionMismatchError):
             lift(net, Subspace.empty(3), 0)
+
+    def test_center_in_the_wrong_space_rejected(self):
+        # An extensive net is checked like any other: its lift result would
+        # otherwise hold a center and a screen in different spaces.
+        extensive = embed_and_lift(random_qnet(2, 2, 3, 0), 0).lifted
+        planar = embed_net(random_qnet(2, 2, 2, 2), 4)
+        for net in (extensive, planar):
+            with pytest.raises(DimensionMismatchError, match="^center has wrong ambient dimension$"):
+                lift(net, Subspace.empty(9), 0)
 
     def test_non_supplementary_center_rejected(self):
         net = embed_net(random_qnet(2, 2, 2, 2), 4)  # spans the plane x3 = x4 = 0
@@ -317,8 +326,8 @@ class TestKoenigsHyperplanes:
         u1 = Subspace.from_rows([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
         u2 = Subspace.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -1]], 3)
         q = hyperplane_pair_quadric(u1, u2)
-        n1 = nullspace(u1.basis, 4)[0]
-        n2 = nullspace(u2.basis, 4)[0]
+        n1 = kernel(u1.rows, 4)[0][0]
+        n2 = kernel(u2.rows, 4)[0][0]
         rng = random.Random(9)
         for _ in range(30):
             p = random_point(rng, 3)
@@ -333,10 +342,10 @@ def conic_through(points):
     for p in points:
         u, v, w = p.coords
         rows.append((u * u, u * v, u * w, v * v, v * w, w * w))
-    kernel = nullspace(rows, 6)
-    if len(kernel) != 1:
+    null = kernel(rows, 6)[0]
+    if len(null) != 1:
         return None
-    a, b, c, d, e, f = kernel[0]
+    a, b, c, d, e, f = null[0]
     return Quadric(
         [
             [2 * a, b, c],

@@ -6,60 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnets.linalg import det, echelon, nullspace, primitive, rank, rref
+from qnets.linalg import bareiss, echelon, kernel, primitive, unit_rows
 from helpers import oracle_det3, oracle_rank, reference_echelon
-
-
-def test_rref_unit_pivots_and_cleared_columns():
-    rows = [[2, 4, 6], [1, 3, 5], [0, 2, 4]]
-    red, pivots = rref(rows, 3)
-    for r, c in enumerate(pivots):
-        assert red[r][c] == 1
-        for k in range(len(red)):
-            if k != r:
-                assert red[k][c] == 0
-
-
-def test_rref_is_canonical_for_the_row_space():
-    rng = random.Random(1)
-    for _ in range(50):
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(3)]
-        red, _ = rref(rows, 4)
-        # a shuffled, rescaled generating set gives the same canonical form
-        mixed = [[3 * x for x in row] for row in reversed(rows)]
-        mixed.append([a + b for a, b in zip(rows[0], rows[-1])])
-        red2, _ = rref(mixed, 4)
-        assert red == red2
-
-
-def test_rank_matches_bareiss_oracle():
-    rng = random.Random(2)
-    for _ in range(200):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
-        rows = [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        assert rank(rows, ncols) == oracle_rank(rows)
-
-
-def test_nullspace_annihilates_and_has_complementary_dimension():
-    rng = random.Random(3)
-    for _ in range(100):
-        nrows, ncols = rng.randint(1, 4), rng.randint(2, 6)
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
-        null = nullspace(rows, ncols)
-        assert len(null) == ncols - rank(rows, ncols)
-        for v in null:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-
-
-def test_det_matches_cofactor_oracle():
-    rng = random.Random(4)
-    for _ in range(100):
-        m = [[Fraction(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
-        assert det(m) == oracle_det3(m)
 
 
 def test_primitive_normalizes():
@@ -86,6 +34,68 @@ def _rows(rng, nrows, ncols, extra, bits):
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             rows[k] = [a * x + b * y for x, y in zip(rows[0], rows[k - 1])]
     return rows
+
+
+def test_rref_unit_pivots_and_cleared_columns():
+    rows = [[2, 4, 6], [1, 3, 5], [0, 2, 4]]
+    red, pivots = echelon(rows, 3)
+    unit = unit_rows(red, pivots)
+    for r, c in enumerate(pivots):
+        assert unit[r][c] == 1
+        assert all(u * red[r][c] == v for u, v in zip(unit[r], red[r]))
+        for k in range(len(unit)):
+            if k != r:
+                assert unit[k][c] == 0
+
+
+def test_rref_is_canonical_for_the_row_space():
+    rng = random.Random(1)
+    for _ in range(50):
+        rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
+        red = unit_rows(*echelon(rows, 4))
+        # a shuffled, rescaled generating set gives the same canonical form
+        mixed = [[3 * x for x in row] for row in reversed(rows)]
+        mixed.append([a + b for a, b in zip(rows[0], rows[-1])])
+        assert unit_rows(*echelon(mixed, 4)) == red
+
+
+def test_rank_matches_bareiss_oracle():
+    rng = random.Random(2)
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = _rows(rng, rng.randint(1, 5), ncols, rng.choice([0, 0, 2]), rng.choice([2, 4, 110]))
+        want = oracle_rank([r[:ncols] for r in rows])
+        work = list(rows)
+        pivots, _ = bareiss(work, ncols)
+        assert len(pivots) == want
+        # rows from the rank onwards are zero in the scanned columns
+        assert all(not any(r[:ncols]) for r in work[want:])
+
+
+def test_det_matches_cofactor_oracle():
+    rng = random.Random(4)
+    swapped = 0
+    for _ in range(200):
+        m = [[rng.randint(-5, 5) if rng.random() < 0.7 else 0 for _ in range(3)] for _ in range(3)]
+        work = [list(r) for r in m]
+        pivots, swaps = bareiss(work, 3)
+        swapped += swaps > 0
+        value = (-1) ** swaps * work[2][2] if len(pivots) == 3 else 0
+        assert value == oracle_det3(m)
+    assert swapped
+
+
+def test_nullspace_annihilates_and_has_complementary_dimension():
+    rng = random.Random(3)
+    for _ in range(200):
+        ncols = rng.randint(2, 6)
+        rows = _rows(rng, rng.randint(1, 4), ncols, 0, rng.choice([2, 4, 110]))
+        null, pivots = kernel(rows, ncols)
+        assert len(null) == ncols - oracle_rank(rows)
+        assert (null, pivots) == echelon(null, ncols)
+        for v in null:
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)) == 0
 
 
 def test_echelon_matches_elimination_reference():
