@@ -31,7 +31,7 @@ from .qnet import (
     laplace_iterate,
     validate_qnet,
 )
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 class UsageError(Exception):
@@ -273,11 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="property suites")
-    p.add_argument(
-        "--suite",
-        choices=["all", "recurrence", "termination", "symmetry", "quadric"],
-        required=True,
-    )
+    p.add_argument("--suite", choices=["all", *SUITES], required=True)
     p.add_argument("--seeds", type=int, default=10)
     add_json(p)
     p.set_defaults(func=_cmd_verify)

@@ -14,9 +14,13 @@ lifted by the same engine as complete nets (``lifts.lift_partial``, which
 takes predecessor-closed partial data) through a center supplementary to
 its span (``sample_supplementary``).  One ``Projector`` of that center and
 span, built with the lift, forces the lifted points and projects each
-completed point back down.  Unique completions consume no randomness
-beyond the boundary; the lift's own free choices use a fixed internal seed
-and never influence the projected result.
+completed point back down.  The lift's own free choices use a fixed
+internal seed and never influence the projected result.
+
+Every lifted completion is one sweep, ``_complete``: a new point bound by
+both the admissible line of the 3x3 window ending at its site and the
+constancy space of its m-fold transform is pinned to their meet, using no
+randomness; a point bound by one of them is a free choice on it.
 
 Errors of the shared machinery (``GeometryError`` from the lift engine,
 the projection and the face transform points) surface here as
@@ -116,6 +120,11 @@ def affine_grid(a: int, b: int) -> QNet:
     return QNet(dom, 2, pts)
 
 
+def _grid(dom: GridDomain, i_lo: int, j_lo: int) -> list[Site]:
+    """The sites of ``dom`` from (i_lo, j_lo) on, row by row."""
+    return [(i, j) for j in range(j_lo, dom.j_max + 1) for i in range(i_lo, dom.i_max + 1)]
+
+
 def _rand_point(rng: random.Random, n: int) -> HPoint:
     while True:
         coords = [rng.randint(-9, 9) for _ in range(n + 1)]
@@ -123,11 +132,14 @@ def _rand_point(rng: random.Random, n: int) -> HPoint:
             return HPoint(coords)
 
 
-def _in_plane_point(rng: random.Random, p1: HPoint, p2: HPoint, p3: HPoint) -> HPoint:
+def _combination(rng: random.Random, rows) -> HPoint:
+    """A nonzero combination of ``rows`` with seeded coefficients in -9..9."""
     while True:
-        c1, c2, c3 = (rng.randint(-9, 9) for _ in range(3))
-        coords = [c1 * a + c2 * b + c3 * c for a, b, c in zip(p1.coords, p2.coords, p3.coords)]
-        if any(x != 0 for x in coords):
+        coords = [0] * len(rows[0])
+        for row in rows:
+            c = rng.randint(-9, 9)
+            coords = [y + c * x for y, x in zip(coords, row)]
+        if any(coords):
             return HPoint(coords)
 
 
@@ -170,8 +182,8 @@ def _fill_sites(
         i, j = site
         preds = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
         if all(p in points for p in preds):
-            plane = [points[p] for p in preds]
-            _place(points, domain, site, lambda: _in_plane_point(rng, *plane), "valid random point")
+            plane = [points[p].coords for p in preds]
+            _place(points, domain, site, lambda: _combination(rng, plane), "valid random point")
         else:
             _place(points, domain, site, lambda: _rand_point(rng, n), "valid random point")
 
@@ -209,7 +221,7 @@ def random_qnet(a: int, b: int, n: int, seed: int) -> QNet:
         rng = random.Random(s)
         dom = GridDomain(0, a, 0, b)
         pts: dict[Site, HPoint] = {}
-        _fill_sites(pts, dom, sorted(dom.sites(), key=lambda s: (s[1], s[0])), rng, n)
+        _fill_sites(pts, dom, _grid(dom, 0, 0), rng, n)
         net = QNet(dom, n, pts)
         if validate_qnet(net) or check_nondegenerate(net) or not _first_transforms_generic(net):
             return None
@@ -261,29 +273,20 @@ def random_goursat_net(a: int, b: int, n: int, seed: int) -> QNet:
         if lines[0].projective_dim != 1:
             return None
         for _ in range(a):
-            apex = _point_on(lines[-1], rng)
+            apex = _combination(rng, lines[-1].scaled_basis[1])
             nxt = join([apex, _rand_point(rng, n)])
             if nxt.projective_dim != 1 or nxt == lines[-1]:
                 return None
             lines.append(nxt)
         for i in range(a + 1):
             for j in range(b + 1):
-                _place(pts, dom, (i, j), lambda: _point_on(lines[i], rng), "column point")
+                _place(pts, dom, (i, j), lambda: _combination(rng, lines[i].scaled_basis[1]), "column point")
         net = QNet(dom, n, pts)
         if check_nondegenerate(net) or degenerate_transform(net, 1, "goursat") is None:
             return None
         return net
 
     return _retry(seed, 8, GeneralPositionError, "could not build a Goursat-degenerate instance", attempt)
-
-
-def _point_on(line: Subspace, rng: random.Random) -> HPoint:
-    _, (g1, g2) = line.scaled_basis
-    while True:
-        al, be = rng.randint(-9, 9), rng.randint(-9, 9)
-        coords = [al * x + be * y for x, y in zip(g1, g2)]
-        if any(c != 0 for c in coords):
-            return HPoint(coords)
 
 
 class _LiftContext:
@@ -388,14 +391,55 @@ def _line_point(line: Subspace, t) -> HPoint:
     return HPoint([t.denominator * a + t.numerator * b for a, b in zip(g1, g2)])
 
 
-def _add_on_line(ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random, what: str) -> None:
+def _add_on_line(ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random) -> None:
     """Register at ``site`` the first of up to RETRY_BUDGET seeded points of
     ``line`` that the lift context accepts."""
     for _ in range(RETRY_BUDGET):
         cand = _line_point(line, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
         if ctx.add(site, cand, strict=False) is not None:
             return
-    raise GeneralPositionError("no %s at %s" % (what, site))
+    raise GeneralPositionError("no admissible choice at %s" % (site,))
+
+
+def _complete(
+    boundary: PartialNet,
+    sites: list[tuple[Site, bool]],
+    m: int,
+    rng: random.Random | None = None,
+    choices: Mapping[Site, Fraction] | None = None,
+) -> QNet:
+    """Complete ``boundary`` in its lift by the module docstring's rule, site
+    by site; a transposed site's constancy space is the backward one (the
+    admissible line is symmetric).  Free sites use ``choices`` or ``rng``."""
+    validate_boundary(boundary)
+    ctx = _LiftContext(boundary)
+    for site, transposed in sites:
+        spaces = []
+        if boundary.domain.contains((site[0] - 2, site[1] - 2)):
+            spaces.append(_bs_line(ctx, *site))
+        if m > 0:
+            spaces.append(_constancy_space(ctx, site, m, transposed))
+        if len(spaces) == 2:
+            hit = meet(*spaces)
+            if hit.projective_dim != 0:
+                raise ConstructionError("no unique completion at %s" % (site,), site)
+            ctx.add(site, hit.point())
+        elif choices is not None and site in choices:
+            ctx.add(site, _line_point(spaces[0], choices[site]))
+        else:
+            _add_on_line(ctx, site, spaces[0], rng)
+    return ctx.net()
+
+
+def _finish(net: QNet, steps: tuple[int, ...], what: str) -> QNet:
+    """``net``, once its ``steps``-fold transforms are Laplace degenerate
+    and it passes the Koenigs product check."""
+    for k in steps:
+        if degenerate_transform(net, k, "laplace") is None:
+            raise ConstructionError("transform %d is not Laplace degenerate" % k)
+    if not is_bs_koenigs(net):
+        raise ConstructionError("%s failed the Koenigs product check" % what)
+    return net
 
 
 def _require_sites(boundary: PartialNet, keep: Callable[[Site], bool], what: str) -> None:
@@ -456,22 +500,8 @@ def extend_bs_koenigs(
         lambda s: s[0] <= dom.i_min + 1 or s[1] <= dom.j_min + 1,
         "Koenigs strip",
     )
-    validate_boundary(boundary)
-    ctx = _LiftContext(boundary)
-    rng = random.Random(seed if seed is not None else 0)
-    for j in range(dom.j_min + 2, dom.j_max + 1):
-        for i in range(dom.i_min + 2, dom.i_max + 1):
-            if (i, j) in ctx.down:
-                continue
-            line = _bs_line(ctx, i, j)
-            if choices is not None and (i, j) in choices:
-                ctx.add((i, j), _line_point(line, choices[(i, j)]))
-            else:
-                _add_on_line(ctx, (i, j), line, rng, "admissible choice")
-    net = ctx.net()
-    if not is_bs_koenigs(net):
-        raise ConstructionError("extension failed the Koenigs product check")
-    return net
+    sites = [(s, False) for s in _grid(dom, dom.i_min + 2, dom.j_min + 2) if s not in boundary.points]
+    return _finish(_complete(boundary, sites, 0, random.Random(seed or 0), choices), (), "extension")
 
 
 def random_bs_strips(a: int, b: int, n: int, seed: int) -> PartialNet:
@@ -479,8 +509,7 @@ def random_bs_strips(a: int, b: int, n: int, seed: int) -> PartialNet:
     rng = random.Random(seed)
     dom = GridDomain(0, a, 0, b)
     pts: dict[Site, HPoint] = {}
-    sites = [s for s in dom.sites() if s[0] <= 1 or s[1] <= 1]
-    _fill_sites(pts, dom, sorted(sites, key=lambda s: (s[1], s[0])), rng, n)
+    _fill_sites(pts, dom, [s for s in _grid(dom, 0, 0) if s[0] <= 1 or s[1] <= 1], rng, n)
     return PartialNet(dom, n, pts)
 
 
@@ -532,19 +561,6 @@ def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = F
     return space
 
 
-def _unique_fill(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> None:
-    """Fill a site so that the m-fold forward transform of the window ending
-    there repeats its left neighbour: the meet of the admissible line with
-    the constancy space.
-
-    Transposed, the m-fold backward transform repeats its lower neighbour
-    (the admissible line is symmetric under transposition)."""
-    hit = meet(_bs_line(ctx, *site), _constancy_space(ctx, site, m, transposed))
-    if hit.projective_dim != 0:
-        raise ConstructionError("no unique completion at %s" % (site,), site)
-    ctx.add(site, hit.point())
-
-
 def extend_laplace_degenerate(boundary: PartialNet, m: int) -> QNet:
     """Unique BS-Koenigs completion with Laplace-degenerate m-th transform.
 
@@ -563,21 +579,8 @@ def extend_laplace_degenerate(boundary: PartialNet, m: int) -> QNet:
         lambda s: s[0] <= dom.i_min + m or s[1] <= dom.j_min + m - 1,
         "Laplace-degenerate",
     )
-    validate_boundary(boundary)
-    ctx = _LiftContext(boundary)
-    for j in range(dom.j_min + m, dom.j_max + 1):
-        for i in range(dom.i_min + m + 1, dom.i_max + 1):
-            _unique_fill(ctx, (i, j), m)
-    net = ctx.net()
-    _verify_degenerate(net, m)
-    if not is_bs_koenigs(net):
-        raise ConstructionError("completion failed the Koenigs product check")
-    return net
-
-
-def _verify_degenerate(net: QNet, steps: int) -> None:
-    if degenerate_transform(net, steps, "laplace") is None:
-        raise ConstructionError("transform %d is not Laplace degenerate" % steps)
+    sites = [(s, False) for s in _grid(dom, dom.i_min + m + 1, dom.j_min + m)]
+    return _finish(_complete(boundary, sites, m), (m,), "completion")
 
 
 def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
@@ -607,21 +610,8 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
         lambda s: s[0] <= dom.i_min + m - 1 or s[1] <= dom.j_min + m - 1 or s == origin,
         "double-degenerate",
     )
-    validate_boundary(boundary)
-    ctx = _LiftContext(boundary)
-    j0, i0 = dom.j_min, dom.i_min
-    for i in range(i0 + m + 1, dom.i_max + 1):
-        _unique_fill(ctx, (i, j0 + m), m)
-    for j in range(j0 + m + 1, dom.j_max + 1):
-        _unique_fill(ctx, (i0 + m, j), m, transposed=True)
-        for i in range(i0 + m + 1, dom.i_max + 1):
-            _unique_fill(ctx, (i, j), m)
-    net = ctx.net()
-    _verify_degenerate(net, m)
-    _verify_degenerate(net, -m)
-    if not is_bs_koenigs(net):
-        raise ConstructionError("completion failed the Koenigs product check")
-    return net
+    sites = [(s, s[0] == origin[0]) for s in _grid(dom, *origin) if s != origin]
+    return _finish(_complete(boundary, sites, m), (m, -m), "completion")
 
 
 def _transform_point(pts: Mapping[Site, HPoint], face: Site, direction: Direction) -> HPoint:
@@ -640,24 +630,18 @@ def _double_degenerate_m1(boundary: PartialNet) -> QNet:
     )
     validate_boundary(boundary)
     pts = dict(boundary.points)
-    for j in range(dom.j_min + 2, dom.j_max + 1):
-        for i in range(dom.i_min + 2, dom.i_max + 1):
-            z_fwd = _transform_point(pts, (i - 2, j - 1), "forward")
-            z_bwd = _transform_point(pts, (i - 1, j - 2), "backward")
-            if pts[(i, j - 1)] == z_fwd or pts[(i - 1, j)] == z_bwd:
-                raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
-            cand = line_meet(pts[(i, j - 1)], z_fwd, pts[(i - 1, j)], z_bwd)
-            if cand is None:
-                raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
-            if not _fill_ok(pts, dom, (i, j), cand):
-                raise ConstructionError("completion at %s is degenerate" % ((i, j),), (i, j))
-            pts[(i, j)] = cand
-    net = QNet(dom, boundary.ambient_dim, pts)
-    _verify_degenerate(net, 1)
-    _verify_degenerate(net, -1)
-    if not is_bs_koenigs(net):
-        raise ConstructionError("double m=1 net failed the Koenigs product check")
-    return net
+    for i, j in _grid(dom, dom.i_min + 2, dom.j_min + 2):
+        z_fwd = _transform_point(pts, (i - 2, j - 1), "forward")
+        z_bwd = _transform_point(pts, (i - 1, j - 2), "backward")
+        if pts[(i, j - 1)] == z_fwd or pts[(i - 1, j)] == z_bwd:
+            raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
+        cand = line_meet(pts[(i, j - 1)], z_fwd, pts[(i - 1, j)], z_bwd)
+        if cand is None:
+            raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
+        if not _fill_ok(pts, dom, (i, j), cand):
+            raise ConstructionError("completion at %s is degenerate" % ((i, j),), (i, j))
+        pts[(i, j)] = cand
+    return _finish(QNet(dom, boundary.ambient_dim, pts), (1, -1), "double m=1 net")
 
 
 def bs_laplace_degenerate_m1(a: int, b: int, n: int, seed: int) -> QNet:
@@ -677,23 +661,11 @@ def _bs_laplace_m1_attempt(a: int, b: int, n: int, seed: int) -> QNet:
     rng = random.Random(seed)
     dom = GridDomain(0, a, 0, b)
     pts: dict[Site, HPoint] = {}
-    sites = [s for s in dom.sites() if s[0] <= 1 or s[1] == 0]
-    _fill_sites(pts, dom, sorted(sites, key=lambda s: (s[1], s[0])), rng, n)
-    boundary = PartialNet(dom, n, pts)
-    validate_boundary(boundary)
-    ctx = _LiftContext(boundary)
-    for j in range(1, b + 1):
-        for i in range(2, a + 1):
-            if j > 1:
-                _unique_fill(ctx, (i, j), 1)
-                continue
-            # The line holds the window point z, on the lifted column line (i-1, 0)-(i-1, 1):
-            # its projection is collinear with those two corners, so ctx.add rejects it.
-            _add_on_line(ctx, (i, 1), _constancy_space(ctx, (i, 1), 1), rng, "admissible row-1 choice")
-    net = ctx.net()
-    _verify_degenerate(net, 1)
-    if not is_bs_koenigs(net):
-        raise ConstructionError("m=1 net failed the Koenigs product check")
+    _fill_sites(pts, dom, [s for s in _grid(dom, 0, 0) if s[0] <= 1 or s[1] == 0], rng, n)
+    # Row 1 is free on its constancy lines.  Each holds the window point z, whose
+    # projection is collinear with the column (i-1, 0)-(i-1, 1): ctx.add rejects it.
+    sites = [(s, False) for s in _grid(dom, 2, 1)]
+    net = _finish(_complete(PartialNet(dom, n, pts), sites, 1, rng), (1,), "m=1 net")
     if min(a, b) >= 2 and isinstance(laplace_iterate(net, -2), TerminationReport):
         raise ConstructionError("backward sequence terminated before step 2")
     return net
@@ -793,6 +765,4 @@ def _bs_goursat_attempt(m: int, a: int, b: int, seed: int) -> QNet:
         raise ConstructionError("projected net is degenerate")
     if degenerate_transform(net, m, "goursat") is None:
         raise ConstructionError("projected transform is not Goursat degenerate")
-    if not is_bs_koenigs(net):
-        raise ConstructionError("projected net failed the Koenigs product check")
-    return net
+    return _finish(net, (), "projected net")

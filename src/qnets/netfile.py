@@ -203,7 +203,8 @@ def _to_three_space(net: QNet, seed: int) -> dict:
 
 def net_to_obj(net: QNet, seed: int) -> str:
     """Wavefront OBJ export: vertices in the affine chart of a seeded
-    projection to three-space; sites on the ideal hyperplane are an error."""
+    projection to three-space; sites on the ideal hyperplane or with an
+    affine coordinate beyond the float range are an error."""
     coords = _to_three_space(net, seed)
     d = net.domain
     lines = []
@@ -214,7 +215,10 @@ def net_to_obj(net: QNet, seed: int) -> str:
             raise GeneralPositionError(
                 "site (%d,%d) projects to the ideal hyperplane" % site
             )
-        lines.append("v %s %s %s" % (float(x / w), float(y / w), float(z / w)))
+        try:
+            lines.append("v %s %s %s" % (float(x / w), float(y / w), float(z / w)))
+        except OverflowError:
+            raise NetFileError("site (%d,%d) has an affine coordinate beyond the float range" % site) from None
         index[site] = k + 1
     for (i, j) in d.faces():
         lines.append(

@@ -332,7 +332,7 @@ class TestDegenerateGenerators:
         add_on_line = construct._add_on_line
         checked = []
 
-        def spy(ctx, site, line, rng, what):
+        def spy(ctx, site, line, rng):
             i, j = site
             window = GridDomain(i - 2, i - 1, j - 1, j)
             big = ctx.domain.width_i + ctx.domain.width_j
@@ -341,7 +341,7 @@ class TestDegenerateGenerators:
             assert any(ctx.projector.apply(z.coords))
             assert ctx.add(site, z, strict=False) is None
             checked.append(site)
-            add_on_line(ctx, site, line, rng, what)
+            add_on_line(ctx, site, line, rng)
 
         monkeypatch.setattr(construct, "_add_on_line", spy)
         for shape in ((3, 3, 3), (4, 3, 3), (3, 4, 5)):
@@ -423,6 +423,36 @@ class TestUniqueCompletionInvariance:
                 {s: transform_point(matrix, p) for s, p in boundary.points.items()},
             )
             assert complete(mapped, m) == transform_net(matrix, complete(boundary, m))
+
+
+def _all_given(net: QNet) -> PartialNet:
+    out = PartialNet(net.domain, net.ambient_dim)
+    out.restricted_from(net, lambda s: True)
+    return out
+
+
+class TestGivenInteriorPoints:
+    """Points given past the boundary: the free extension keeps them, the
+    unique completions recompute every site they pin."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_free_extension_returns_a_complete_net_unchanged(self, seed):
+        net = random_bs_koenigs(4, 4, 3, seed)
+        assert extend_bs_koenigs(_all_given(net)) == net
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unique_completions_reproduce_their_output(self, seed):
+        net = extend_laplace_degenerate(laplace_degenerate_boundary(2, 3, 4, 3, seed), 2)
+        assert extend_laplace_degenerate(_all_given(net), 2) == net
+        net = construct_double_degenerate(double_degenerate_boundary(2, 3, 3, 3, seed), 2)
+        assert construct_double_degenerate(_all_given(net), 2) == net
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unique_completion_replaces_given_pinned_points(self, seed):
+        net = random_bs_koenigs(3, 4, 3, seed)
+        out = extend_laplace_degenerate(_all_given(net), 2)
+        assert out != net
+        assert all(out[s] == net[s] for s in net.domain.sites() if s[0] <= 2 or s[1] <= 1)
 
 
 class TestRareGeneratorFailures:

@@ -268,6 +268,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert json.loads(err.strip().splitlines()[-1])["error"]
 
+    def test_export_obj_rejects_coordinates_beyond_floats(self, tmp_path, capsys):
+        doc = {
+            "ambient_dim": 3,
+            "i_range": [0, 1],
+            "j_range": [0, 1],
+            "points": [
+                [["1" + "0" * 400, "0", "0", "1"], ["0", "1", "0", "1"]],
+                [["1", "0", "0", "1"], ["1", "1", "0", "1"]],
+            ],
+        }
+        src = tmp_path / "far.json"
+        src.write_text(json.dumps(doc))
+        code = run(["export", "--format", "obj", "-i", src, "-o", tmp_path / "x.obj", "--json"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {
+            "error": "NetFileError",
+            "message": "site (0,0) has an affine coordinate beyond the float range",
+        }
+
     def test_export_csv(self, tmp_path):
         src = tmp_path / "net.json"
         write_net(str(src), affine_grid(1, 1))
