@@ -12,15 +12,29 @@ there), and the completion subspaces all live inside the span of the
 window's lifted points, where meets restrict exactly.  The boundary is
 lifted by the same engine as complete nets (``lifts.lift_partial``, which
 takes predecessor-closed partial data) through a center supplementary to
-its span (``sample_supplementary``).  One ``Projector`` of that center and
-span, built with the lift, forces the lifted points and projects each
-completed point back down.  The lift's own free choices use a fixed
-internal seed and never influence the projected result.
+its span.  One ``Projector`` of that center and span, built with the
+lift, forces the lifted points and projects each completed point back
+down.
 
 Every lifted completion is one sweep, ``_complete``: a new point bound by
 both the admissible line of the 3x3 window ending at its site and the
 constancy space of its m-fold transform is pinned to their meet, using no
 randomness; a point bound by one of them is a free choice on it.
+
+Which lift is used depends on the sweep.  A pinned point is a meet of
+subspaces defined projectively by the data below it, so a sweep that pins
+every site (``extend_laplace_degenerate``, ``construct_double_degenerate``
+for m >= 2) gives the same net under every lift; it lifts through the
+chart center, the unit vectors at the non-pivot columns of the span's
+echelon form, which is supplementary to the span by construction, needs
+no sampling and projects by reading off the pivot coordinates.  A free
+choice is a parameter on a line of the lift, and the same parameter names
+different points under different lifts: the free sweeps
+(``extend_bs_koenigs``, row 1 of ``bs_laplace_degenerate_m1``) change when
+the sampled center or the staircase heights change.  They lift through a
+center sampled by ``_sampled_projector`` with the fixed ``_LIFT_SEED``,
+which the staircase heights use too, so that their seeded outputs are
+reproducible.
 
 Errors of the shared machinery (``GeometryError`` from the lift engine,
 the projection and the face transform points) surface here as
@@ -43,6 +57,7 @@ from .linalg import bareiss, reduce_row
 from .projective import (
     HPoint,
     INFINITY,
+    Projector,
     Subspace,
     join,
     line_meet,
@@ -291,9 +306,13 @@ def random_goursat_net(a: int, b: int, n: int, seed: int) -> QNet:
 
 class _LiftContext:
     """A growing net kept together with an extensive lift of itself: ``down``
-    holds the points in RP^n, ``up`` their lifts in RP^{a+b}."""
+    holds the points in RP^n, ``up`` their lifts in RP^{a+b}.
 
-    def __init__(self, boundary: PartialNet):
+    The center is the chart center when ``pinned`` (every site the sweep
+    visits is pinned), the one sampled with ``_LIFT_SEED`` otherwise; see
+    the module docstring."""
+
+    def __init__(self, boundary: PartialNet, pinned: bool = False):
         dom = boundary.domain
         self.domain = dom
         self.n = boundary.ambient_dim
@@ -305,10 +324,21 @@ class _LiftContext:
         self.down: dict[Site, HPoint] = dict(boundary.points)
         pad = (0,) * (big - self.n)
         embedded = {s: HPoint(p.coords + pad) for s, p in self.down.items()}
-        # Zero columns leave the canonical echelon form of the join as it is.
-        down = join(list(self.down.values()))
-        screen = Subspace(down.ambient_dim + len(pad), tuple(r + pad for r in down.rows), down.pivots)
-        self.projector = _sampled_projector(screen, _LIFT_SEED)
+        # n + 1 independent points already join all of RP^n.  Zero columns
+        # leave the canonical echelon form of the join as it is.
+        points = list(self.down.values())
+        first = [p.coords for p in points[: self.n + 1]]
+        if len(first) == self.n + 1 and len(bareiss(first, self.n + 1)[0]) == self.n + 1:
+            down = Subspace.full(self.n)
+        else:
+            down = join(points)
+        screen = Subspace(big, tuple(r + pad for r in down.rows), down.pivots)
+        if pinned:
+            free = [c for c in range(big + 1) if c not in down.pivots]
+            units = tuple(tuple(int(c == t) for c in range(big + 1)) for t in free)
+            self.projector = Projector(Subspace(big, units, tuple(free)), screen)
+        else:
+            self.projector = _sampled_projector(screen, _LIFT_SEED)
         try:
             self.up = lift_partial(embedded, dom, self.projector, _LIFT_SEED)
         except GeometryError as exc:
@@ -410,12 +440,14 @@ def _complete(
 ) -> QNet:
     """Complete ``boundary`` in its lift by the module docstring's rule, site
     by site; a transposed site's constancy space is the backward one (the
-    admissible line is symmetric).  Free sites use ``choices`` or ``rng``."""
+    admissible line is symmetric).  Free sites use ``choices`` or ``rng``.
+    A point given at a pinned site must be the completion there."""
     validate_boundary(boundary)
-    ctx = _LiftContext(boundary)
-    for site, transposed in sites:
+    has_line = [boundary.domain.contains((i - 2, j - 2)) for (i, j), _ in sites]
+    ctx = _LiftContext(boundary, m > 0 and all(has_line))
+    for (site, transposed), line in zip(sites, has_line):
         spaces = []
-        if boundary.domain.contains((site[0] - 2, site[1] - 2)):
+        if line:
             spaces.append(_bs_line(ctx, *site))
         if m > 0:
             spaces.append(_constancy_space(ctx, site, m, transposed))
@@ -423,7 +455,9 @@ def _complete(
             hit = meet(*spaces)
             if hit.projective_dim != 0:
                 raise ConstructionError("no unique completion at %s" % (site,), site)
-            ctx.add(site, hit.point())
+            down = ctx.add(site, hit.point())
+            if site in boundary.points and boundary.points[site] != down:
+                raise ConstructionError("given point at %s is not the unique completion" % (site,), site)
         elif choices is not None and site in choices:
             ctx.add(site, _line_point(spaces[0], choices[site]))
         else:
@@ -513,16 +547,41 @@ def random_bs_strips(a: int, b: int, n: int, seed: int) -> PartialNet:
     return PartialNet(dom, n, pts)
 
 
+def _strips_generic(strips: PartialNet) -> bool:
+    """False when the faces lying wholly in the strips already fail
+    ``_first_transforms_generic``: in either direction, a face transform
+    point is undefined or two neighbouring faces share one (an edge of the
+    transform collapses).  A completion keeps the strip points, so every
+    completion of such strips fails that check too."""
+    dom = strips.domain
+    column = [(dom.i_min, j) for j in range(dom.j_min, dom.j_max)]
+    row = [(i, dom.j_min) for i in range(dom.i_min, dom.i_max)]
+    tables: dict = {}
+    for direction in ("forward", "backward"):
+        for faces in (column, row):
+            try:
+                zs = [_face_transform_point(strips.points, f, direction, tables) for f in faces]
+            except GeometryError:
+                return False
+            if any(z == w for z, w in zip(zs, zs[1:])):
+                return False
+    return True
+
+
 def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
     """Seeded random BS-Koenigs net (random strips + Koenigs extension).
 
     Every attempt draws fresh strips.  The first eight extend them with the
     caller's seed, so a degenerate choice on the admissible lines can repeat
     in all of them; the eight after that also draw a fresh extension seed.
+    Strips that ``_strips_generic`` rejects are not extended.
     """
 
     def attempt(s: int, k: int) -> QNet | None:
-        net = extend_bs_koenigs(random_bs_strips(a, b, n, s), seed=seed if k < 8 else s)
+        strips = random_bs_strips(a, b, n, s)
+        if not _strips_generic(strips):
+            return None
+        net = extend_bs_koenigs(strips, seed=seed if k < 8 else s)
         if not _first_transforms_generic(net):
             return None
         if a >= 1 and b >= 1:
@@ -539,9 +598,16 @@ def random_bs_koenigs(a: int, b: int, n: int, seed: int) -> QNet:
 
 def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = False) -> Subspace:
     """The m-space joined by the lifted m-fold forward transform point z of
-    the Sigma_{m,m} window left of ``site`` (the meet of its column joins)
-    and the m points below ``site``: the window ending at ``site`` has
-    transform z exactly when the point there lies in that space.
+    the Sigma_{m,m} window left of ``site`` and the m points below
+    ``site``: the window ending at ``site`` has transform z exactly when
+    the point there lies in that space.
+
+    z is computed by m steps of face transforms.  The window lies in the
+    complete lifted rectangle from the lift's staircase to its far corner,
+    which is extensive, so the window is extensive too, and there the
+    iterated transform is the meet of the window's column joins
+    (``explicit_laplace``).  Only when the iteration terminates is that
+    meet computed, for its error.
 
     Transposed, rows and columns swap: the m-fold backward transform."""
 
@@ -552,9 +618,14 @@ def _constancy_space(ctx: _LiftContext, site: Site, m: int, transposed: bool = F
     p, q = i - m - 1, j - m
     window = GridDomain(p, p + m, q, q + m)
     big = ctx.domain.width_i + ctx.domain.width_j
-    z = column_space_meet(QNet(window, big, {s: ctx.up[at(*s)] for s in window.sites()}))
-    if z.projective_dim != 0:
-        raise ConstructionError("window transform at (%d,%d) is not a point" % at(p, q), site)
+    net = QNet(window, big, {s: ctx.up[at(*s)] for s in window.sites()})
+    z = laplace_iterate(net, m)
+    if isinstance(z, TerminationReport):
+        z = column_space_meet(net)
+        if z.projective_dim != 0:
+            raise ConstructionError("window transform at (%d,%d) is not a point" % at(p, q), site)
+    else:
+        z = z[(p, q)]
     space = join([z] + [ctx.up[at(i, l)] for l in range(q, q + m)])
     if space.projective_dim != m:
         raise ConstructionError("degenerate constancy space at %s" % (site,), site)

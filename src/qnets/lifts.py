@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Mapping
 
 from .errors import (
@@ -94,13 +95,13 @@ def staircase_point(
     pivot columns, each row zero in the pivots of the rows before it; a
     candidate extends the span exactly when its residual by them
     (``linalg.reduce_row``) is nonzero, and that residual, made primitive,
-    is appended with its first nonzero column."""
+    is appended with its first nonzero column.  The coefficients are drawn
+    row by row and the candidate is formed column by column."""
     scale, steps = center.scaled_basis
+    columns = [tuple(step[c] for step in steps) for c in range(len(base.coords))]
     for _ in range(RETRY_BUDGET):
-        vec = [scale * x for x in base.coords]
-        for step in steps:
-            lam = rng.randint(-9, 9)
-            vec = [a + lam * b for a, b in zip(vec, step)]
+        lams = [rng.randint(-9, 9) for _ in steps]
+        vec = [scale * x + sum(map(mul, lams, col)) for x, col in zip(base.coords, columns)]
         residual = reduce_row(vec, [row for row, _ in chosen], [c for _, c in chosen])[0]
         if any(residual):
             chosen.append((primitive(residual), next(c for c, x in enumerate(residual) if x)))

@@ -37,6 +37,7 @@ from qnets import (
 )
 from qnets import construct
 from qnets.construct import validate_boundary
+from qnets.errors import GeneralPositionError
 from qnets.projective import transform_point
 from qnets.qnet import TerminationReport, column_space_meet, transform_net
 
@@ -410,6 +411,45 @@ class TestUniqueCompletionInvariance:
             monkeypatch.setattr(construct, "_LIFT_SEED", lift_seed)
             assert [complete(boundary, m) for complete, boundary, m in cases] == expected
 
+    def test_chart_center_agrees_with_sampled_centers(self, monkeypatch):
+        # Sweeps that pin every site lift through the chart center; the
+        # sampled center of the free sweeps gives the same nets under two seeds.
+        cases = [
+            (complete, make_boundary(m, a, b, 3, seed), m)
+            for complete, make_boundary, m, (a, b) in UNIQUE_COMPLETIONS
+            if m >= 2
+            for seed in range(10)
+        ]
+        expected = [complete(boundary, m) for complete, boundary, m in cases]
+        lift_context = construct._LiftContext
+        requested = []
+
+        def sampled(boundary, pinned=False):
+            requested.append(pinned)
+            return lift_context(boundary, False)
+
+        monkeypatch.setattr(construct, "_LiftContext", sampled)
+        for lift_seed in (1, 12345):
+            monkeypatch.setattr(construct, "_LIFT_SEED", lift_seed)
+            assert [complete(boundary, m) for complete, boundary, m in cases] == expected
+        assert requested == [True] * (2 * len(cases))
+
+    def test_free_extension_depends_on_the_staircase_seed(self, monkeypatch):
+        # A free choice is a parameter on a line of the lift: shifting only
+        # the staircase seed moves the point it names.
+        boundaries = []
+        for seed in range(6):
+            strips = PartialNet(GridDomain(0, 4, 0, 5), 3)
+            strips.restricted_from(random_bs_koenigs(4, 5, 3, seed), lambda s: min(s) <= 1)
+            boundaries.append(strips)
+        expected = [extend_bs_koenigs(strips, seed=seed) for seed, strips in enumerate(boundaries)]
+        lift_partial = construct.lift_partial
+        monkeypatch.setattr(construct, "lift_partial", lambda pts, dom, proj, seed: lift_partial(pts, dom, proj, seed + 1))
+        for seed, strips in enumerate(boundaries):
+            net = extend_bs_koenigs(strips, seed=seed)
+            assert net != expected[seed]
+            assert all(net[s] == expected[seed][s] for s in strips.points)
+
     def test_completions_are_projectively_natural(self):
         # Not asserted for extend_bs_koenigs or bs_laplace_degenerate_m1:
         # their seeded choices are parameters on lines of the lift, which
@@ -433,7 +473,8 @@ def _all_given(net: QNet) -> PartialNet:
 
 class TestGivenInteriorPoints:
     """Points given past the boundary: the free extension keeps them, the
-    unique completions recompute every site they pin."""
+    unique completions keep a given point that is their completion and
+    reject one that is not."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_free_extension_returns_a_complete_net_unchanged(self, seed):
@@ -449,10 +490,73 @@ class TestGivenInteriorPoints:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unique_completion_replaces_given_pinned_points(self, seed):
-        net = random_bs_koenigs(3, 4, 3, seed)
-        out = extend_laplace_degenerate(_all_given(net), 2)
-        assert out != net
-        assert all(out[s] == net[s] for s in net.domain.sites() if s[0] <= 2 or s[1] <= 1)
+        # A generic Koenigs net is not the completion past its strips: the
+        # first pinned site whose given point differs raises, naming the site.
+        cases = (
+            (extend_laplace_degenerate, random_bs_koenigs(3, 4, 3, seed)),
+            (construct_double_degenerate, random_bs_koenigs(3, 3, 3, seed)),
+        )
+        for complete, net in cases:
+            with pytest.raises(ConstructionError) as info:
+                complete(_all_given(net), 2)
+            assert str(info.value) == "given point at (3, 2) is not the unique completion"
+            assert info.value.site == (3, 2)
+
+
+class TestWindowPoint:
+    """``_constancy_space`` takes its window point from m steps of face
+    transforms.  The lifted windows of the completions are extensive, and
+    there that point is the meet of the window's column joins."""
+
+    def test_iterated_transform_is_the_column_meet(self, monkeypatch):
+        constancy_space = construct._constancy_space
+        checked = []
+
+        def spy(ctx, site, m, transposed=False):
+            assert not transposed
+            i, j = site
+            window = GridDomain(i - m - 1, i - 1, j - m, j)
+            big = ctx.domain.width_i + ctx.domain.width_j
+            net = QNet(window, big, {s: ctx.up[s] for s in window.sites()})
+            z = laplace_iterate(net, m)
+            assert not isinstance(z, TerminationReport)
+            assert column_space_meet(net) == join([z[(i - m - 1, j - m)]])
+            checked.append(m)
+            return constancy_space(ctx, site, m, transposed)
+
+        monkeypatch.setattr(construct, "_constancy_space", spy)
+        for seed in (0, 1):
+            for m in range(2, 6):
+                extend_laplace_degenerate(laplace_degenerate_boundary(m, m + 1, m + 2, 3, seed), m)
+            for shape in ((3, 3, 3), (4, 3, 3)):
+                bs_laplace_degenerate_m1(*shape, seed)
+        assert sorted(set(checked)) == [1, 2, 3, 4, 5]
+        # Three sites per completion, 6 and 9 per m = 1 net (more on a retry).
+        assert len(checked) >= 2 * (4 * 3 + 6 + 9)
+
+
+class TestStripPreRejection:
+    """``random_bs_koenigs`` drops strips whose own faces fail the generic
+    transform check before extending them.  That is sound: no rejected
+    first attempt extends to a net that passes the check."""
+
+    def test_rejected_strips_never_give_a_generic_net(self):
+        rejected = 0
+        for a, b in ((3, 3), (4, 4), (3, 4), (4, 5)):
+            for seed in range(300):
+                try:
+                    strips = random_bs_strips(a, b, 3, construct._derive(seed, 0))
+                except GeneralPositionError:
+                    continue
+                if construct._strips_generic(strips):
+                    continue
+                rejected += 1
+                try:
+                    net = extend_bs_koenigs(strips, seed=seed)
+                except (ConstructionError, GeneralPositionError):
+                    continue
+                assert not construct._first_transforms_generic(net)
+        assert rejected >= 50
 
 
 class TestRareGeneratorFailures:
