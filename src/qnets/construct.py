@@ -16,18 +16,19 @@ its span.  One ``Projector`` of that center and span, built with the
 lift, forces the lifted points and projects each completed point back
 down.
 
-Every lifted completion is one sweep, ``_complete``: a new point bound by
-both the admissible line of the 3x3 window ending at its site and the
+Every completion is one sweep, ``_complete``: a new point bound by both
+the admissible line of the 3x3 window ending at its site and the
 constancy space of its m-fold transform is pinned to their meet, using no
-randomness; a point bound by one of them is a free choice on it.
+randomness; a point bound by one of them is a free choice on it.  Data
+in RP^n with n > a+b complete in the pivot chart of their span.
 
 Which lift is used depends on the sweep.  A pinned point is a meet of
 subspaces defined projectively by the data below it, so a sweep that pins
-every site (``extend_laplace_degenerate``, ``construct_double_degenerate``
-for m >= 2) gives the same net under every lift; it lifts through the
-chart center, the unit vectors at the non-pivot columns of the span's
-echelon form, which is supplementary to the span by construction, needs
-no sampling and projects by reading off the pivot coordinates.  A free
+every site (``extend_laplace_degenerate``, ``construct_double_degenerate``)
+gives the same net under every lift; it lifts through the chart center,
+the unit vectors at the non-pivot columns of the span's echelon form,
+which is supplementary to the span by construction, needs no sampling
+and projects by reading off the pivot coordinates.  A free
 choice is a parameter on a line of the lift, and the same parameter names
 different points under different lifts: the free sweeps
 (``extend_bs_koenigs``, row 1 of ``bs_laplace_degenerate_m1``) change when
@@ -36,8 +37,7 @@ center sampled by ``_sampled_projector`` with the fixed ``_LIFT_SEED``,
 which the staircase heights use too, so that their seeded outputs are
 reproducible.
 
-Errors of the shared machinery (``GeometryError`` from the lift engine,
-the projection and the face transform points) surface here as
+A ``GeometryError`` of the lift engine surfaces here as
 ``ConstructionError``.
 """
 
@@ -60,12 +60,11 @@ from .projective import (
     Projector,
     Subspace,
     join,
-    line_meet,
     meet,
     span_dim,
+    transform_point,
 )
 from .qnet import (
-    Direction,
     GridDomain,
     QNet,
     Site,
@@ -344,27 +343,20 @@ class _LiftContext:
         except GeometryError as exc:
             raise ConstructionError(str(exc)) from exc
 
-    def add(self, site: Site, up_pt: HPoint, strict: bool = True) -> HPoint | None:
+    def add(self, site: Site, up_pt: HPoint) -> HPoint:
         """Register a new lifted point; returns its downstairs projection.
 
-        With strict=True a point of the center or a non-degeneracy
-        violation raises (unique completions cannot retry); otherwise it
-        returns None and the caller handles rejection.  Lifted points
+        A point of the center or a non-degeneracy violation raises
+        ConstructionError (``_add_on_line`` draws again).  Lifted points
         project to their points downstairs, and projecting never raises
         rank, so the test downstairs covers the lift too.
         """
         image = self.projector.apply(up_pt.coords)
         if not any(image):
-            if strict:
-                raise ConstructionError("lift point has no projection")
-            return None
-        if any(image[self.n + 1 :]):
-            raise ConstructionError("projected point leaves the embedded space")
+            raise ConstructionError("lift point has no projection")
         down = HPoint(image[: self.n + 1])
         if not _fill_ok(self.down, self.domain, site, down):
-            if strict:
-                raise ConstructionError("completion at %s is degenerate" % (site,), site)
-            return None
+            raise ConstructionError("completion at %s is degenerate" % (site,), site)
         self.down[site] = down
         self.up[site] = up_pt
         return down
@@ -421,13 +413,15 @@ def _line_point(line: Subspace, t) -> HPoint:
     return HPoint([t.denominator * a + t.numerator * b for a, b in zip(g1, g2)])
 
 
-def _add_on_line(ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random) -> None:
+def _add_on_line(ctx: _LiftContext, site: Site, line: Subspace, rng: random.Random) -> HPoint:
     """Register at ``site`` the first of up to RETRY_BUDGET seeded points of
-    ``line`` that the lift context accepts."""
+    ``line`` that ``_LiftContext.add`` accepts; returns its projection."""
     for _ in range(RETRY_BUDGET):
         cand = _line_point(line, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-        if ctx.add(site, cand, strict=False) is not None:
-            return
+        try:
+            return ctx.add(site, cand)
+        except ConstructionError:
+            pass
     raise GeneralPositionError("no admissible choice at %s" % (site,))
 
 
@@ -441,9 +435,23 @@ def _complete(
     """Complete ``boundary`` in its lift by the module docstring's rule, site
     by site; a transposed site's constancy space is the backward one (the
     admissible line is symmetric).  Free sites use ``choices`` or ``rng``.
-    A point given at a pinned site must be the completion there."""
+    A point given at a pinned site must be the completion there.
+
+    Data in RP^n with n > a+b complete in the pivot chart of their span, a
+    projective isomorphism onto RP^d, and map back by its basis rows.  Q-net
+    data have d <= a+b; ``_LiftContext`` rejects data with d > a+b."""
     validate_boundary(boundary)
-    has_line = [boundary.domain.contains((i - 2, j - 2)) for (i, j), _ in sites]
+    dom = boundary.domain
+    big = dom.width_i + dom.width_j
+    if boundary.ambient_dim > big:
+        span = join(list(boundary.points.values()))
+        if span.projective_dim <= big:
+            chart = {s: HPoint(span.point_coords(p)) for s, p in boundary.points.items()}
+            net = _complete(PartialNet(dom, span.projective_dim, chart), sites, m, rng, choices)
+            back = list(zip(*span.scaled_basis[1]))
+            points = {s: transform_point(back, p) for s, p in net.points().items()}
+            return QNet(dom, boundary.ambient_dim, points)
+    has_line = [dom.contains((i - 2, j - 2)) for (i, j), _ in sites]
     ctx = _LiftContext(boundary, m > 0 and all(has_line))
     for (site, transposed), line in zip(sites, has_line):
         spaces = []
@@ -662,11 +670,11 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     point (m,m); the corner sweep applies the forward completion along row
     m, the backward completion along column m, and forward completions in
     the interior, backward degeneracy then propagating by the coupling of
-    the two directions.  The m = 1 case takes width-one strips and is a
-    distinct path: both constancy constraints pin each new point as a
-    two-line meet inside its face plane, and the result is automatically
-    BS-Koenigs (verified, not assumed).  It needs no lift, so it alone
-    completes boundaries in RP^n with n > a+b (``_LiftContext`` rejects them).
+    the two directions.  For m = 1 the boundary is the width-one strips,
+    which carry both constancy constraints themselves
+    (``double_degenerate_boundary``); every site from (2,2) on is pinned
+    by its admissible line and its forward constancy line, and the
+    backward degeneracy of the result is verified, not assumed.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -674,7 +682,13 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     if dom.width_i < m + 1 or dom.width_j < m + 1:
         raise ConstructionError("window too small for a double m=%d completion" % m)
     if m == 1:
-        return _double_degenerate_m1(boundary)
+        _require_sites(
+            boundary,
+            lambda s: s[0] <= dom.i_min + 1 or s[1] <= dom.j_min + 1,
+            "double-degenerate strip",
+        )
+        sites = [(s, False) for s in _grid(dom, dom.i_min + 2, dom.j_min + 2)]
+        return _finish(_complete(boundary, sites, 1), (1, -1), "double m=1 net")
     origin = (dom.i_min + m, dom.j_min + m)
     _require_sites(
         boundary,
@@ -683,36 +697,6 @@ def construct_double_degenerate(boundary: PartialNet, m: int) -> QNet:
     )
     sites = [(s, s[0] == origin[0]) for s in _grid(dom, *origin) if s != origin]
     return _finish(_complete(boundary, sites, m), (m, -m), "completion")
-
-
-def _transform_point(pts: Mapping[Site, HPoint], face: Site, direction: Direction) -> HPoint:
-    try:
-        return _face_transform_point(pts, face, direction)
-    except GeometryError as exc:
-        raise ConstructionError(str(exc), face) from exc
-
-
-def _double_degenerate_m1(boundary: PartialNet) -> QNet:
-    dom = boundary.domain
-    _require_sites(
-        boundary,
-        lambda s: s[0] <= dom.i_min + 1 or s[1] <= dom.j_min + 1,
-        "double-degenerate strip",
-    )
-    validate_boundary(boundary)
-    pts = dict(boundary.points)
-    for i, j in _grid(dom, dom.i_min + 2, dom.j_min + 2):
-        z_fwd = _transform_point(pts, (i - 2, j - 1), "forward")
-        z_bwd = _transform_point(pts, (i - 1, j - 2), "backward")
-        if pts[(i, j - 1)] == z_fwd or pts[(i - 1, j)] == z_bwd:
-            raise ConstructionError("degenerate constancy line at %s" % ((i, j),), (i, j))
-        cand = line_meet(pts[(i, j - 1)], z_fwd, pts[(i - 1, j)], z_bwd)
-        if cand is None:
-            raise ConstructionError("no unique completion at %s" % ((i, j),), (i, j))
-        if not _fill_ok(pts, dom, (i, j), cand):
-            raise ConstructionError("completion at %s is degenerate" % ((i, j),), (i, j))
-        pts[(i, j)] = cand
-    return _finish(QNet(dom, boundary.ambient_dim, pts), (1, -1), "double m=1 net")
 
 
 def bs_laplace_degenerate_m1(a: int, b: int, n: int, seed: int) -> QNet:
@@ -773,21 +757,20 @@ def double_boundary_of(base: QNet, m: int) -> PartialNet:
 
 
 def _double_m1_boundary(a: int, b: int, n: int, seed: int) -> PartialNet:
-    def attempt(s: int, k: int) -> PartialNet | None:
+    def attempt(s: int, k: int) -> PartialNet:
         rng = random.Random(s)
         dom = GridDomain(0, a, 0, b)
         pts: dict[Site, HPoint] = {}
         _fill_sites(pts, dom, [(i, 0) for i in range(a + 1)], rng, n)
         z0 = _rand_point(rng, n)
         _fill_on_lines(pts, dom, [((i, 1), (i, 0)) for i in range(a + 1)], z0, rng)
-        w0 = line_meet(pts[(0, 0)], pts[(1, 0)], pts[(0, 1)], pts[(1, 1)])
-        if w0 is None:
-            return None
+        w0 = _face_transform_point(pts, (0, 0), "backward")
         _fill_sites(pts, dom, [(0, j) for j in range(2, b + 1)], rng, n)
         _fill_on_lines(pts, dom, [((1, j), (0, j)) for j in range(2, b + 1)], w0, rng)
         return PartialNet(dom, n, pts)
 
-    return _retry(seed, 8, GeneralPositionError, "could not build consistent m=1 strips", attempt)
+    errors = (GeneralPositionError, GeometryError)
+    return _retry(seed, 8, errors, "could not build consistent m=1 strips", attempt)
 
 
 def _fill_on_lines(pts: dict[Site, HPoint], dom: GridDomain, targets: list, apex: HPoint, rng: random.Random) -> None:

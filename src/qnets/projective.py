@@ -334,24 +334,13 @@ def span_dim(points: Sequence[HPoint]) -> int:
     """Projective dimension of the join of points (cheaper than join when
     no canonical basis is needed).
 
-    Two points span a line exactly when their canonical coordinates differ,
-    three with a nonzero minor in columns 0, 1, 2 span a plane, and four
-    are decided by their bracket table while it is not all zero.  Every
-    other case is the Bareiss rank.
+    Three points with a nonzero minor in columns 0, 1, 2 span a plane;
+    every other case is the Bareiss rank.
     """
     coords = [p.coords for p in points]
     _same_space(coords, "span")
-    k = len(coords)
-    if k == 2:
-        return int(coords[0] != coords[1])
-    if k == 3 and len(coords[0]) >= 3 and det3(*coords):
+    if len(coords) == 3 and len(coords[0]) >= 3 and det3(*coords):
         return 2
-    if k == 4:
-        t = _plane_brackets(*coords)
-        if t is None:
-            return 3
-        if any(t):
-            return 2
     return len(bareiss(coords, len(coords[0]))[0]) - 1
 
 

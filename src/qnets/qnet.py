@@ -403,27 +403,25 @@ def classify_degeneracy(net: QNet, direction: Direction) -> DegeneracyReport:
     The direction is required input: constancy of the points alone cannot
     distinguish Laplace from Goursat degeneracy.  Laplace dominates: a net
     constant in both lattice directions is reported as 'laplace'.
-    """
-    if direction == "backward":
-        rep = classify_degeneracy(net.transposed(), "forward")
-        witness = None
-        if rep.witness is not None:
-            (a, b), (c, d) = rep.witness
-            witness = ((b, a), (d, c))
-        return DegeneracyReport(rep.kind, "backward", witness)
 
+    Backward is forward on the transposed net: the two pair lists and the
+    two widths swap, and the witnesses are pairs of the net's own sites.
+    """
     d = net.domain
     rows = [((i, j), (i + 1, j)) for j in range(d.j_min, d.j_max + 1) for i in range(d.i_min, d.i_max)]
-    constant_in_i, laplace_witness = _coincidences(net, rows)
-    if constant_in_i and d.width_i >= 1:
-        return DegeneracyReport("laplace", "forward", laplace_witness)
     columns = [((i, j), (i, j + 1)) for i in range(d.i_min, d.i_max + 1) for j in range(d.j_min, d.j_max)]
+    widths = (d.width_i, d.width_j)
+    if direction == "backward":
+        rows, columns, widths = columns, rows, widths[::-1]
+    constant_in_i, laplace_witness = _coincidences(net, rows)
+    if constant_in_i and widths[0] >= 1:
+        return DegeneracyReport("laplace", direction, laplace_witness)
     constant_in_j, goursat_witness = _coincidences(net, columns)
-    if constant_in_j and d.width_j >= 1:
+    if constant_in_j and widths[1] >= 1:
         if laplace_witness is None:
-            return DegeneracyReport("goursat", "forward", goursat_witness)
-        return DegeneracyReport("mixed", "forward", laplace_witness)
-    return DegeneracyReport("none", "forward", None)
+            return DegeneracyReport("goursat", direction, goursat_witness)
+        return DegeneracyReport("mixed", direction, laplace_witness)
+    return DegeneracyReport("none", direction, None)
 
 
 def laplace_iterate(net: QNet, m: int) -> QNet | TerminationReport:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -38,8 +40,9 @@ from qnets import (
 from qnets import construct
 from qnets.construct import validate_boundary
 from qnets.errors import GeneralPositionError
+from qnets.netfile import net_to_dict
 from qnets.projective import transform_point
-from qnets.qnet import TerminationReport, column_space_meet, transform_net
+from qnets.qnet import TerminationReport, column_space_meet
 
 from helpers import (
     random_invertible,
@@ -272,9 +275,27 @@ class TestDoubleDegenerate:
             with pytest.raises(ConstructionError, match=r"^window too small for a double m=1 completion$"):
                 construct_double_degenerate(part, 1)
 
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            ((3, 3, 3), "d6953e75e6beea17e6c8835bdcae2608e17df3e0e1204432fd5d6aae7cecabf4"),
+            ((2, 2, 5), "b4a8c4235d763a8f16c198f9e537b6171f7d02d191bfb30321032e8b761d8bd1"),
+            ((2, 3, 6), "36e75277a406e8f6260b8cc1efe095993ee2f3b27584a3b2c9d384d57b691088"),
+            ((3, 3, 7), "17028f72c53c3ecde3b5384215689e47e43c9dce6e1483d39153ea564c395852"),
+        ],
+    )
+    def test_m1_digests(self, shape, digest):
+        # SHA-256 of the documents of seeds 0-9, in RP^3 and past RP^{a+b}.
+        docs = [
+            net_to_dict(construct_double_degenerate(double_degenerate_boundary(1, *shape, seed), 1))
+            for seed in range(10)
+        ]
+        text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_m1_beyond_the_joined_dimension(self):
-        # The m = 1 path completes in RP^n itself; the lifted completions of
-        # the m >= 2 path need n <= a + b, so only m = 1 reaches RP^5 here.
+        # The lift lives in RP^{a+b} = RP^4 and rejects the boundary in RP^5;
+        # the completion runs in the chart of the boundary's span.
         for seed in range(10):
             boundary = double_degenerate_boundary(1, 2, 2, 5, seed)
             with pytest.raises(ConstructionError, match=r"^ambient RP\^5 exceeds the maximal joined dimension 4$"):
@@ -340,7 +361,10 @@ class TestDegenerateGenerators:
             z = column_space_meet(QNet(window, big, {s: ctx.up[s] for s in window.sites()})).point()
             assert line.contains_point(z)
             assert any(ctx.projector.apply(z.coords))
-            assert ctx.add(site, z, strict=False) is None
+            with pytest.raises(ConstructionError) as info:
+                ctx.add(site, z)
+            assert str(info.value) == "completion at %s is degenerate" % (site,)
+            assert site not in ctx.down and site not in ctx.up
             checked.append(site)
             add_on_line(ctx, site, line, rng)
 
@@ -417,7 +441,6 @@ class TestUniqueCompletionInvariance:
         cases = [
             (complete, make_boundary(m, a, b, 3, seed), m)
             for complete, make_boundary, m, (a, b) in UNIQUE_COMPLETIONS
-            if m >= 2
             for seed in range(10)
         ]
         expected = [complete(boundary, m) for complete, boundary, m in cases]
@@ -453,16 +476,20 @@ class TestUniqueCompletionInvariance:
     def test_completions_are_projectively_natural(self):
         # Not asserted for extend_bs_koenigs or bs_laplace_degenerate_m1:
         # their seeded choices are parameters on lines of the lift, which
-        # a projective map of the boundary does not carry along.
-        rng = random.Random(7)
+        # a projective map of the boundary does not carry along.  The
+        # injective maps take the boundary into RP^{a+b+2}, past the lift.
+        rng, embed_rng = random.Random(7), random.Random(8)
         for complete, boundary, m in _unique_cases():
-            matrix = random_invertible(rng, boundary.ambient_dim + 1)
-            mapped = PartialNet(
-                boundary.domain,
-                boundary.ambient_dim,
-                {s: transform_point(matrix, p) for s, p in boundary.points.items()},
-            )
-            assert complete(mapped, m) == transform_net(matrix, complete(boundary, m))
+            dom, n = boundary.domain, boundary.ambient_dim
+            matrices = [random_invertible(rng, n + 1)]
+            if m <= 2:
+                rows = random_invertible(embed_rng, dom.width_i + dom.width_j + 3)
+                matrices.append([row[: n + 1] for row in rows])
+            net = complete(boundary, m)
+            for matrix in matrices:
+                image = lambda points: {s: transform_point(matrix, p) for s, p in points.items()}
+                mapped = PartialNet(dom, len(matrix) - 1, image(boundary.points))
+                assert complete(mapped, m) == QNet(dom, len(matrix) - 1, image(net.points()))
 
 
 def _all_given(net: QNet) -> PartialNet:

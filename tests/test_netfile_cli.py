@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qnets import GridDomain, HPoint, PartialNet, QNet, affine_grid, random_bs_koenigs, random_qnet
 from qnets.cli import main
-from qnets.errors import NetFileError
+from qnets.errors import ConstructionError, NetFileError
 from qnets.netfile import (
     format_scalar,
     invariants_to_csv,
@@ -229,6 +229,25 @@ class TestCli:
         assert run(args) == 2
         doc = json.loads(capsys.readouterr().err)
         assert doc == {"error": "ConstructionError", "message": "window too small for a double m=1 completion"}
+
+    def test_construct_rejects_a_boundary_spanning_past_the_lift(self, tmp_path, capsys):
+        # Q-net data over a 3 x 4 window span at most RP^7, and in RP^8 they
+        # complete in the chart of their span.  One more point in general
+        # position lies off every such span, and the lift rejects the data.
+        from qnets import extend_laplace_degenerate, join, laplace_degenerate_boundary
+
+        boundary = laplace_degenerate_boundary(2, 3, 4, 8, 0)
+        boundary.points[(3, 4)] = HPoint((1, -2, 3, 5, -7, 11, 13, -4, 6))
+        assert join(list(boundary.points.values())).projective_dim == 8
+        message = "ambient RP^8 exceeds the maximal joined dimension 7"
+        with pytest.raises(ConstructionError) as info:
+            extend_laplace_degenerate(boundary, 2)
+        assert str(info.value) == message
+        bpath = tmp_path / "b.json"
+        write_net(str(bpath), boundary)
+        args = ["construct", "--mode", "laplace", "--m", 2, "-b", bpath, "-o", tmp_path / "net.json", "--json"]
+        assert run(args) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConstructionError", "message": message}
 
     def test_invariants_command(self, tmp_path):
         src = tmp_path / "net.json"

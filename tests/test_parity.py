@@ -26,8 +26,8 @@ def test_seed_range():
 
 def test_a_checkout_agrees_with_itself(capsys):
     assert parity.main([str(_ROOT), str(_ROOT), "--seeds", "0", "--rounds", "0-1", "--m1-seeds", "0-1"]) == 0
-    # 12 generators in each of 2 rounds, 3 m = 1 items for each of 2 seeds.
-    assert capsys.readouterr().out.splitlines() == ["30 items, 0 differ, 0 raise at the base"]
+    # 12 generators in each of 2 rounds, 4 m = 1 items for each of 2 seeds.
+    assert capsys.readouterr().out.splitlines() == ["32 items, 0 differ, 0 raise at the base"]
 
 
 def test_a_changed_generator_is_reported(tmp_path, capsys):
@@ -36,7 +36,7 @@ def test_a_changed_generator_is_reported(tmp_path, capsys):
         fh.write("\n\ndef random_qnet(a, b, n, seed):\n    raise ConstructionError('changed', (0, 1))\n")
     assert parity.main([str(_ROOT), str(tmp_path), "--seeds", "0", "--rounds", "0", "--m1-seeds", "0"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == "15 items, 3 differ, 0 raise at the base"
+    assert out[-1] == "16 items, 3 differ, 0 raise at the base"
     diffs = out[:-1]
     assert [line.split()[4].split("(")[0] for line in diffs] == ["random_qnet.rp3", "random_qnet.rp8", "random_qnet.rp12"]
     assert all(line.endswith("-> ConstructionError: changed (site (0, 1))") for line in diffs)

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from qnets import QnetsError, laplace_invariants
 from qnets.errors import DimensionMismatchError
-from qnets.qnet import _face_transform_point, transform_net, transform_points
+from qnets.qnet import DegeneracyReport, _face_transform_point, transform_net, transform_points
 from helpers import (
     random_invertible,
     random_point,
@@ -251,6 +251,25 @@ class TestClassify:
         net = random_goursat_net(3, 3, 3, 8).transposed()
         bwd = laplace_iterate(net, -1)
         assert classify_degeneracy(bwd, "backward").kind == "goursat"
+
+    def test_backward_is_forward_on_the_transposed_net(self):
+        # The definition the backward scan implements without transposing:
+        # the forward report of the transpose, its witness transposed back.
+        a, b, c = HPoint((1, 0, 1)), HPoint((0, 1, 1)), HPoint((1, 1, 1))
+        mixed = self._constant_rows_net([a, a, b, c])
+        nets = [mixed, mixed.transposed(), laplace_forward(affine_grid(3, 3))]
+        nets += [laplace_iterate(random_goursat_net(3, 3, 3, s), 1) for s in (7, 8)]
+        nets += [laplace_iterate(random_goursat_net(3, 3, 3, s).transposed(), -1) for s in (7, 8)]
+        nets += [laplace_forward(random_qnet(2, 2, 3, s)) for s in range(3)]
+        for dom in (GridDomain(0, 0, 0, 2), GridDomain(0, 2, 0, 0)):
+            nets.append(QNet(dom, 2, {s: a for s in dom.sites()}))
+        kinds = set()
+        for net in nets:
+            rep = classify_degeneracy(net.transposed(), "forward")
+            witness = None if rep.witness is None else tuple((j, i) for i, j in rep.witness)
+            assert classify_degeneracy(net, "backward") == DegeneracyReport(rep.kind, "backward", witness)
+            kinds.add(rep.kind)
+        assert kinds == {"none", "laplace", "goursat", "mixed"}
 
 
 class TestParameterSpaces:

@@ -10,8 +10,9 @@ Runs, in one fresh process per checkout against that checkout's
   round in --rounds, with the seed ``derive(seed, "generate", round,
   index)`` the workload gives it;
 * for each seed s in --m1-seeds (default: --seeds),
-  ``bs_laplace_degenerate_m1`` at sizes (3, 3, 3) and (4, 3, 3) and
-  ``construct_double_degenerate(double_degenerate_boundary(1, 3, 3, 3, s), 1)``.
+  ``bs_laplace_degenerate_m1`` at sizes (3, 3, 3) and (4, 3, 3), and
+  ``construct_double_degenerate(double_degenerate_boundary(1, a, b, n, s), 1)``
+  at (3, 3, 3) and at (2, 2, 5), a boundary in RP^n with n > a+b.
 
 An outcome is the SHA-256 digest of ``net_to_dict`` of the item's net, or
 the type, message and site of the ``QnetsError`` it raised.  The item list
@@ -58,6 +59,8 @@ def items(seeds: range, rounds: range, m1_seeds: range):
             yield label, lambda C, a=a, s=s: C.bs_laplace_degenerate_m1(a, 3, 3, s)
         label = "construct_double_degenerate.m1(%d)" % s
         yield label, lambda C, s=s: C.construct_double_degenerate(C.double_degenerate_boundary(1, 3, 3, 3, s), 1)
+        label = "construct_double_degenerate.m1.rp5(%d)" % s
+        yield label, lambda C, s=s: C.construct_double_degenerate(C.double_degenerate_boundary(1, 2, 2, 5, s), 1)
 
 
 def outcome(call, qnets) -> str:
